@@ -9,8 +9,13 @@
 // records with --json.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "scenario/dumbbell.hpp"
@@ -77,55 +82,93 @@ struct Options {
   double min_link_mbps = 0;
 };
 
-inline Options parse_options(int argc, char** argv) {
+/// Exit code for malformed command lines (unknown flag, missing value, a
+/// number with trailing garbage); pi2_campaign uses it for bad specs too.
+inline constexpr int kUsageExit = 17;
+
+[[noreturn]] inline void flag_error(const char* argv0, const std::string& flag,
+                                    const std::string& what) {
+  std::fprintf(stderr, "%s: %s: %s (see --help)\n", argv0, flag.c_str(),
+               what.c_str());
+  std::exit(kUsageExit);
+}
+
+/// The value after the flag at argv[i] (advancing i); exits 17 when the
+/// command line ends first.
+inline const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) flag_error(argv[0], argv[i], "missing value");
+  return argv[++i];
+}
+
+/// The flag's value parsed as a T in full; exits 17 on anything else
+/// ("abc", "1x", "", or a sign an unsigned T cannot take).
+template <typename T>
+T flag_number(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  const char* text = flag_value(argc, argv, i);
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) {
+    flag_error(argv[0], flag, "'" + std::string(text) + "' is not a number");
+  }
+  return value;
+}
+
+/// A driver's own flags, tried before the shared ones: returns true when it
+/// took argv[i] (advancing i past any value), false to hand it on.
+using FlagHook = std::function<bool(const std::string& arg, int& i)>;
+
+inline Options parse_options(int argc, char** argv, const FlagHook& hook = {}) {
   Options opts;
   if (argc > 0 && argv[0] != nullptr) opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (hook && hook(arg, i)) continue;
     if (arg == "--full") {
       opts.full = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--json" && i + 1 < argc) {
-      opts.json_path = argv[++i];
+    } else if (arg == "--seed") {
+      opts.seed = flag_number<std::uint64_t>(argc, argv, i);
+    } else if (arg == "--jobs") {
+      opts.jobs = flag_number<unsigned>(argc, argv, i);
+    } else if (arg == "--json") {
+      opts.json_path = flag_value(argc, argv, i);
     } else if (arg == "--smoke") {
       opts.duration_s_override = 4.0;
       opts.stats_start_s_override = 1.0;
       opts.grid_cap = 2;
-    } else if (arg == "--duration-s" && i + 1 < argc) {
-      opts.duration_s_override = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--stats-start-s" && i + 1 < argc) {
-      opts.stats_start_s_override = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--grid-cap" && i + 1 < argc) {
-      opts.grid_cap = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--min-link-mbps" && i + 1 < argc) {
-      opts.min_link_mbps = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--deadline-s" && i + 1 < argc) {
-      opts.deadline_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--retries" && i + 1 < argc) {
-      opts.retries = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--backoff-ms" && i + 1 < argc) {
-      opts.backoff_ms = std::strtoll(argv[++i], nullptr, 10);
+    } else if (arg == "--duration-s") {
+      opts.duration_s_override = flag_number<double>(argc, argv, i);
+    } else if (arg == "--stats-start-s") {
+      opts.stats_start_s_override = flag_number<double>(argc, argv, i);
+    } else if (arg == "--grid-cap") {
+      opts.grid_cap = flag_number<int>(argc, argv, i);
+    } else if (arg == "--min-link-mbps") {
+      opts.min_link_mbps = flag_number<double>(argc, argv, i);
+    } else if (arg == "--deadline-s") {
+      opts.deadline_s = flag_number<double>(argc, argv, i);
+    } else if (arg == "--retries") {
+      opts.retries = flag_number<int>(argc, argv, i);
+    } else if (arg == "--backoff-ms") {
+      opts.backoff_ms = flag_number<long long>(argc, argv, i);
     } else if (arg == "--resume") {
       opts.resume = true;
-    } else if (arg == "--journal" && i + 1 < argc) {
-      opts.journal_path = argv[++i];
-    } else if (arg == "--inject-fail" && i + 1 < argc) {
-      opts.inject_fail = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--inject-hang" && i + 1 < argc) {
-      opts.inject_hang = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--hang-s" && i + 1 < argc) {
-      opts.hang_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--telemetry" && i + 1 < argc) {
-      opts.telemetry_dir = argv[++i];
-    } else if (arg == "--telemetry-interval" && i + 1 < argc) {
-      opts.telemetry_interval_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--packet-background" && i + 1 < argc) {
-      opts.packet_background = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--fluid-background" && i + 1 < argc) {
-      opts.fluid_background = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+    } else if (arg == "--journal") {
+      opts.journal_path = flag_value(argc, argv, i);
+    } else if (arg == "--inject-fail") {
+      opts.inject_fail = flag_number<long long>(argc, argv, i);
+    } else if (arg == "--inject-hang") {
+      opts.inject_hang = flag_number<long long>(argc, argv, i);
+    } else if (arg == "--hang-s") {
+      opts.hang_s = flag_number<double>(argc, argv, i);
+    } else if (arg == "--telemetry") {
+      opts.telemetry_dir = flag_value(argc, argv, i);
+    } else if (arg == "--telemetry-interval") {
+      opts.telemetry_interval_s = flag_number<double>(argc, argv, i);
+    } else if (arg == "--packet-background") {
+      opts.packet_background = flag_number<int>(argc, argv, i);
+    } else if (arg == "--fluid-background") {
+      opts.fluid_background = flag_number<int>(argc, argv, i);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--full] [--seed N] [--jobs N] [--json PATH] [--smoke]\n"
@@ -133,8 +176,8 @@ inline Options parse_options(int argc, char** argv) {
           "          [--resume] [--journal PATH]\n"
           "  --full      paper-scale grid and durations (slower)\n"
           "  --seed N    RNG seed (default 1)\n"
-          "  --jobs N    worker threads for sweep grids (default: all cores;\n"
-          "              tables are byte-identical for every N)\n"
+          "  --jobs N    worker threads for sweep grids (default or 0: all\n"
+          "              cores; tables are byte-identical for every N)\n"
           "  --json PATH also write per-point JSON records to PATH\n"
           "  --smoke     tiny grid and durations (CI race/smoke testing)\n"
           "  --duration-s S / --stats-start-s S / --grid-cap N\n"
@@ -164,9 +207,12 @@ inline Options parse_options(int argc, char** argv) {
           "  --packet-background N / --fluid-background N\n"
           "              add N background Reno flows to every grid point, as\n"
           "              real packet flows or as one fluid spec of N modelled\n"
-          "              flows (the same load at different engine tiers)\n",
+          "              flows (the same load at different engine tiers)\n"
+          "An unknown flag, a missing value or a malformed number exits 17.\n",
           argv[0]);
       std::exit(0);
+    } else {
+      flag_error(argv[0], arg, "unknown flag");
     }
   }
   return opts;

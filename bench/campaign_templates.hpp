@@ -1,21 +1,24 @@
-// Shared per-point builders for the campaign-style figures (overload,
-// parking lot, RTT mix): scenario config construction, the printed table
-// row, the --json record, and the health predicates. Both the standalone
-// fig binaries and bench/pi2_campaign (the declarative campaign driver)
-// call these, so a spec-driven run of the same grid is *byte-identical* to
-// the fig binary's output — the golden_campaign_* ctests gate exactly that.
+// Shared per-point builders for every pi2_campaign template (dumbbell
+// sweep, overload, parking lot, RTT mix, resilience): scenario config
+// construction, the printed table row, the --json record, the health
+// predicates and each figure's closing `# expectation:` footer.
+// bench/pi2_campaign dispatches a spec's points onto these; perfbench
+// replays the resilience ones, so its records match the driver's bytes.
 //
 // Format strings here are the committed golden baselines' schema; change
 // them only together with tests/golden/*.json.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "faults/fault_presets.hpp"
+#include "stats/percentile.hpp"
 #include "sweep.hpp"
 #include "topology/topology.hpp"
 
@@ -55,6 +58,153 @@ inline bool machinery_healthy(const scenario::RunResult& result) {
   return result.violations.empty() && result.clamped_events == 0 &&
          result.guard_events == 0;
 }
+
+// ---- dumbbell sweep (Figures 15-18: link rate x RTT, PIE vs coupled PI2) --
+
+/// One table row carrying every column Figures 15-18 report: per-cc
+/// goodput and their ratio (Fig. 15), queue delay (Fig. 16), Classic and
+/// Scalable signal probability (Fig. 17) and the utilization spread of the
+/// 1 s samples after `stats_start` (Fig. 18).
+inline void dumbbell_print_header() {
+  std::printf("%-14s %-16s %-10s %-8s %-8s %-8s %-8s %-8s %-8s %-23s %-23s "
+              "%s\n",
+              "aqm", "mix", "link[Mbps]", "rtt[ms]", "cubic", "other",
+              "ratio", "qdelay", "p99", "classic% p25/mean/p99",
+              "scalable% p25/mean/p99", "util% P1/mean/P99");
+}
+
+/// Cubic-to-other goodput ratio of a point (0 when the other flow starved).
+inline double dumbbell_ratio(const scenario::RunResult& result, MixKind mix) {
+  const double other = result.mean_goodput_mbps(other_cc(mix));
+  return other > 0 ? result.mean_goodput_mbps(tcp::CcType::kCubic) / other
+                   : 0.0;
+}
+
+inline void dumbbell_print_row(scenario::AqmType aqm, MixKind mix,
+                               double link_mbps, double rtt_ms,
+                               sim::Time stats_start,
+                               const scenario::RunResult& result) {
+  const auto& classic = result.classic_prob_samples;
+  const auto& scalable = result.scalable_prob_samples;
+  stats::PercentileSampler util;
+  for (const auto& point : result.utilization_series.points()) {
+    if (point.t >= stats_start) util.add(point.value);
+  }
+  std::printf(
+      "%-14s %-16s %-10g %-8g %-8.2f %-8.2f %-8.3f %-8.2f %-8.2f "
+      "%7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %5.1f %5.1f %5.1f\n",
+      aqm_label(aqm), to_string(mix), link_mbps, rtt_ms,
+      result.mean_goodput_mbps(tcp::CcType::kCubic),
+      result.mean_goodput_mbps(other_cc(mix)), dumbbell_ratio(result, mix),
+      result.mean_qdelay_ms, result.p99_qdelay_ms, classic.p25() * 100.0,
+      classic.mean() * 100.0, classic.p99() * 100.0, scalable.p25() * 100.0,
+      scalable.mean() * 100.0, scalable.p99() * 100.0, util.p01() * 100.0,
+      result.utilization * 100.0, util.p99() * 100.0);
+}
+
+/// `with_background` adds "background_mbps" (aggregate goodput of the Reno
+/// background tier, packet or fluid); a non-empty `manifest_path` adds the
+/// point's "telemetry_manifest". Both are off in the committed baselines,
+/// so those keep their exact field set.
+inline void dumbbell_json_record(durable::AtomicFile& json, bool& first,
+                                 std::size_t index, scenario::AqmType aqm,
+                                 MixKind mix, double link_mbps, double rtt_ms,
+                                 std::uint64_t seed, bool with_background,
+                                 const std::string& manifest_path,
+                                 const scenario::RunResult& result) {
+  const auto& c = result.window_counters;
+  json.printf(
+      "%s\n"
+      "  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
+      "\"mix\": \"%s\", "
+      "\"link_mbps\": %g, \"rtt_ms\": %g, \"seed\": %llu, "
+      "\"mean_qdelay_ms\": %.6g, \"p99_qdelay_ms\": %.6g, "
+      "\"utilization\": %.6g, \"signal_rate\": %.6g, "
+      "\"cubic_mbps\": %.6g, \"other_mbps\": %.6g, "
+      "\"enqueued\": %lld, \"forwarded\": %lld, \"aqm_dropped\": %lld, "
+      "\"tail_dropped\": %lld, \"marked\": %lld, "
+      "\"events_executed\": %llu, \"clamped_events\": %llu, "
+      "\"invariant_violations\": %llu, \"guard_events\": %llu",
+      first ? "" : ",", index, aqm_label(aqm), to_string(mix), link_mbps,
+      rtt_ms, static_cast<unsigned long long>(seed), result.mean_qdelay_ms,
+      result.p99_qdelay_ms, result.utilization, result.observed_signal_rate(),
+      result.mean_goodput_mbps(tcp::CcType::kCubic),
+      result.mean_goodput_mbps(other_cc(mix)),
+      static_cast<long long>(c.enqueued), static_cast<long long>(c.forwarded),
+      static_cast<long long>(c.aqm_dropped),
+      static_cast<long long>(c.tail_dropped), static_cast<long long>(c.marked),
+      static_cast<unsigned long long>(result.events_executed),
+      static_cast<unsigned long long>(result.clamped_events),
+      static_cast<unsigned long long>(result.violations.size()),
+      static_cast<unsigned long long>(result.guard_events));
+  if (with_background) {
+    // The background load is Reno at either engine tier (bench_common
+    // mix_config); the aggregate rate is the mean-field quantity the two
+    // renderings must agree on, so the fluid golden gates it directly.
+    double background_mbps = 0.0;
+    for (const auto& flow : result.flows) {
+      if (flow.cc == tcp::CcType::kReno && !flow.is_udp) {
+        background_mbps += flow.goodput_mbps * flow.count;
+      }
+    }
+    json.printf(", \"background_mbps\": %.6g", background_mbps);
+  }
+  if (!manifest_path.empty()) {
+    json.printf(", \"telemetry_manifest\": \"%s\"",
+                json_escape(manifest_path).c_str());
+  }
+  json.write("}");
+  first = false;
+}
+
+inline void dumbbell_json_failed(durable::AtomicFile& json, bool& first,
+                                 std::size_t index, runner::TaskStatus status,
+                                 scenario::AqmType aqm, MixKind mix,
+                                 double link_mbps, double rtt_ms,
+                                 const std::string& message) {
+  json.printf(
+      "%s\n"
+      "  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\", "
+      "\"mix\": \"%s\", \"link_mbps\": %g, \"rtt_ms\": %g, "
+      "\"error\": \"%s\"}",
+      first ? "" : ",", index, runner::to_string(status), aqm_label(aqm),
+      to_string(mix), link_mbps, rtt_ms, json_escape(message).c_str());
+  first = false;
+}
+
+/// Figure 15's headline over the grid: PI2's worst-case Cubic/DCTCP
+/// imbalance and PIE's weakest DCTCP-over-Cubic dominance.
+struct DumbbellHeadline {
+  double worst_pi2_log_ratio = 0.0;
+  double best_pie_dctcp_ratio = 1e9;
+
+  void record(scenario::AqmType aqm, MixKind mix, double ratio) {
+    if (mix != MixKind::kCubicVsDctcp || ratio <= 0) return;
+    if (aqm == scenario::AqmType::kCoupledPi2) {
+      worst_pi2_log_ratio =
+          std::max(worst_pi2_log_ratio, std::abs(std::log2(ratio)));
+    } else if (aqm == scenario::AqmType::kPie) {
+      best_pie_dctcp_ratio = std::min(best_pie_dctcp_ratio, 1.0 / ratio);
+    }
+  }
+
+  void print() const {
+    std::printf("# PI2 cubic/dctcp worst-case imbalance: 2^%.2f = %.2fx\n",
+                worst_pi2_log_ratio, std::exp2(worst_pi2_log_ratio));
+    std::printf("# PIE dctcp/cubic dominance (min over grid): %.1fx\n",
+                best_pie_dctcp_ratio);
+  }
+};
+
+inline constexpr const char* kDumbbellExpectation =
+    "# expectation: PIE lets DCTCP dominate ~10x; PI2 keeps the balance\n"
+    "# near 1 over the whole range; the ECN-Cubic control is fair under "
+    "both.\n"
+    "# expectation: both AQMs hold ~20 ms mean; PI2's P99 lower than\n"
+    "# PIE's at 4 Mb/s.\n"
+    "# expectation: probabilities fall with BDP; under coupled PI2 the\n"
+    "# scalable probability is ~2*sqrt(classic), well above it.\n"
+    "# expectation: utilization >90% across the grid for both AQMs.\n";
 
 // ---- overload (RFC 9332 §4.2 UDP floods vs DualPI2) ------------------------
 
@@ -144,6 +294,14 @@ inline void overload_json_record(durable::AtomicFile& json, bool& first,
   first = false;
 }
 
+inline constexpr const char* kOverloadExpectation =
+    "# expectation: floods above 1x lose their excess to drops (Not-ECT) or "
+    "to the\n"
+    "# l_drop switchover (ECT(1): marks give way to squared-probability "
+    "drops), while\n"
+    "# the Classic queue's delay stays governed by the PI target, not the "
+    "buffer.\n";
+
 inline void overload_json_failed(durable::AtomicFile& json, bool& first,
                                  std::size_t index, runner::TaskStatus status,
                                  const char* ecn_name, double udp_mult) {
@@ -163,7 +321,9 @@ inline topology::TopologyConfig parking_lot_config(
     double total_s, double stats_start_s, std::uint64_t seed) {
   topology::TopologyConfig cfg;
   for (int i = 0; i <= hops; ++i) {
-    cfg.nodes.push_back("n" + std::to_string(i));
+    std::string node = "n";
+    node += std::to_string(i);
+    cfg.nodes.push_back(std::move(node));
   }
   for (int i = 0; i < hops; ++i) {
     topology::LinkSpec link;
@@ -272,6 +432,12 @@ inline void parking_json_record(durable::AtomicFile& json, bool& first,
   first = false;
 }
 
+inline constexpr const char* kParkingExpectation =
+    "# expectation: the ratio column sits near 1.0 at one hop and falls "
+    "below 1.0\n"
+    "# beyond it — the long flow pays every hop's marking while each cross "
+    "flow pays one.\n";
+
 inline void parking_json_failed(durable::AtomicFile& json, bool& first,
                                 std::size_t index, runner::TaskStatus status,
                                 const char* aqm_name, int hops) {
@@ -283,8 +449,7 @@ inline void parking_json_failed(durable::AtomicFile& json, bool& first,
 }
 
 /// Headline check: beyond one hop the long flow must not out-throughput the
-/// cross flows. Prints the diagnostic (stdout schema of the fig binary) and
-/// returns false when violated.
+/// cross flows. Prints the diagnostic and returns false when violated.
 inline bool parking_check_headline(int hops, const ParkingSummary& s) {
   if (hops > 1 && s.long_mbps >= s.cross_mbps) {
     std::printf("# UNHEALTHY: long flow (%.2f Mb/s) >= cross mean "
@@ -404,6 +569,12 @@ inline void rtt_mix_json_record(durable::AtomicFile& json, bool& first,
       static_cast<unsigned long long>(result.guard_events));
   first = false;
 }
+
+inline constexpr const char* kRttMixExpectation =
+    "# expectation: short-RTT branches out-throughput long ones (ratio > 1); "
+    "the AQMs\n"
+    "# differ in how far Jain's index falls and where the queue delay "
+    "settles.\n";
 
 inline void rtt_mix_json_failed(durable::AtomicFile& json, bool& first,
                                 std::size_t index, runner::TaskStatus status,

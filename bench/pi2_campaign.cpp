@@ -1,12 +1,11 @@
-// pi2_campaign: the declarative campaign driver. One binary replaces the
-// per-figure sweep mains: a committed spec file (campaigns/*.json) names a
-// scenario template and its axes, expand() turns it into the same ordered
-// grid the hand-rolled loop produced, and the per-point configs/printers/
-// JSON emitters are the exact helpers the fig binaries use — so a campaign
-// run of campaigns/fig_overload.json is byte-identical (per record) to
-// fig_overload itself. The golden_campaign_* ctests gate that equivalence.
+// pi2_campaign: the declarative campaign driver and the only driver of the
+// grid figures (Figures 15-18, overload, parking lot, RTT mix, resilience).
+// A committed spec file (campaigns/*.json) names a scenario template and
+// its axes, expand() turns it into an ordered grid, and the per-point
+// configs, table rows and JSON records come from campaign_templates.hpp.
+// The golden_campaign_* ctests pin each committed spec's --json output.
 //
-// Beyond replaying the figures, the driver adds distributed execution:
+// Besides serial runs, the driver does distributed execution:
 //
 //   pi2_campaign --spec S.json                    # serial: all points
 //   pi2_campaign --spec S.json --shard 2/3        # worker: its slice only
@@ -28,9 +27,11 @@
 //
 // Standard sweep flags (--smoke, --full, --seed, --jobs, --json, --resume,
 // --journal, --telemetry, --deadline-s, ...) keep their bench_common
-// meaning. A killed shard is resumed with --resume, which *compacts* its
-// journal (fresh header, valid points re-appended in index order) so the
-// strict merge loader never sees the torn tail the kill left behind.
+// meaning; the driver's own flags and those are parsed in one pass, so an
+// unknown flag, a missing value or a malformed number also exits 17. A
+// killed shard is resumed with --resume, which *compacts* its journal
+// (fresh header, valid points re-appended in index order) so the strict
+// merge loader never sees the torn tail the kill left behind.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,8 +50,7 @@ namespace {
 using namespace pi2;
 using namespace pi2::bench;
 
-/// Flags owned by the driver itself; everything else goes through
-/// parse_options (which ignores what it does not know).
+/// Flags owned by the driver itself; the rest are parse_options'.
 struct CampaignCli {
   std::string spec_path;
   bool help = false;
@@ -65,42 +65,48 @@ struct CampaignCli {
   std::string error;      ///< non-empty = usage error
 };
 
-CampaignCli parse_campaign_cli(int argc, char** argv) {
-  CampaignCli cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--spec" && i + 1 < argc) {
-      cli.spec_path = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      cli.help = true;
-    } else if (arg == "--list") {
-      cli.list = true;
-    } else if (arg == "--digest") {
-      cli.digest_only = true;
-    } else if (arg == "--seed") {
-      cli.use_seed = true;  // value consumed by parse_options
-    } else if (arg == "--shard" && i + 1 < argc) {
-      if (!campaign::parse_shard(argv[++i], cli.shard_index,
-                                 cli.shard_count)) {
-        cli.error = "--shard wants i/N with 1 <= i <= N (got '" +
-                    std::string(argv[i]) + "')";
-        return cli;
-      }
-      cli.has_shard = true;
-    } else if (arg == "--merge") {
-      cli.merge = true;
-      while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        cli.merge_paths.emplace_back(argv[++i]);
-      }
-    }
-  }
+/// Parses the driver's flags and the shared sweep flags in one pass.
+Options parse_cli(int argc, char** argv, CampaignCli& cli) {
+  const Options opts =
+      parse_options(argc, argv, [&](const std::string& arg, int& i) {
+        if (arg == "--spec") {
+          cli.spec_path = flag_value(argc, argv, i);
+        } else if (arg == "--help" || arg == "-h") {
+          cli.help = true;
+        } else if (arg == "--list") {
+          cli.list = true;
+        } else if (arg == "--digest") {
+          cli.digest_only = true;
+        } else if (arg == "--seed") {
+          cli.use_seed = true;
+          return false;  // the shared flags parse the value
+        } else if (arg == "--shard") {
+          const char* value = flag_value(argc, argv, i);
+          if (campaign::parse_shard(value, cli.shard_index,
+                                    cli.shard_count)) {
+            cli.has_shard = true;
+          } else if (cli.error.empty()) {
+            cli.error = "--shard wants i/N with 1 <= i <= N (got '" +
+                        std::string(value) + "')";
+          }
+        } else if (arg == "--merge") {
+          cli.merge = true;
+          while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+            cli.merge_paths.emplace_back(argv[++i]);
+          }
+        } else {
+          return false;
+        }
+        return true;
+      });
+  if (!cli.error.empty()) return opts;
   if (cli.spec_path.empty() && !cli.help) {
     cli.error = "--spec PATH is required";
   }
   if (cli.merge && cli.has_shard) {
     cli.error = "--merge and --shard are mutually exclusive";
   }
-  return cli;
+  return opts;
 }
 
 std::string joined(const std::vector<std::string>& names) {
@@ -140,7 +146,7 @@ void print_usage(std::FILE* to) {
 int usage_error(const std::string& message) {
   std::fprintf(stderr, "pi2_campaign: %s\n", message.c_str());
   print_usage(stderr);
-  return 17;
+  return kUsageExit;
 }
 
 /// Maps the merge/journal failure taxonomy onto distinct exit codes (doc'd
@@ -169,8 +175,8 @@ std::string axis_value_str(const campaign::AxisValue& v) {
 
 // ---- per-template dispatch -------------------------------------------------
 //
-// Each template maps a point's axis values onto the same config builder,
-// table row, JSON record and health predicate its fig binary uses. The
+// Each template maps a point's axis values onto its config builder, table
+// row, JSON record and health predicate in campaign_templates.hpp. The
 // campaign layer is scenario-free, so this is where strings/numbers become
 // scenario types.
 
@@ -218,8 +224,7 @@ struct TemplateView {
 void print_table_header(const TemplateView& v) {
   switch (v.x.template_id) {
     case campaign::TemplateId::kDumbbellSweep:
-      std::printf("%-14s %-16s %-10s %-8s %-9s %-9s %-7s\n", "aqm", "mix",
-                  "link[Mbps]", "rtt[ms]", "qdelay", "p99", "util");
+      dumbbell_print_header();
       break;
     case campaign::TemplateId::kOverload:
       std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 UDP "
@@ -264,9 +269,8 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
   using campaign::TemplateId;
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep: {
-      // mix_config + opts reproduces run_sweep()'s per-point config exactly
-      // (durations, ecn_drop_threshold, background tiers); only the seed is
-      // the campaign's own.
+      // Durations and background tiers come from the shared flags
+      // (mix_config); the seed is the campaign's own.
       auto cfg = mix_config(aqm_from_name(v.text(p, v.aqm)),
                             mix_from_name(v.text(p, v.cc_mix)),
                             v.num(p, v.rate), v.num(p, v.rtt), opts);
@@ -314,25 +318,26 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
   return scenario::RunResult();
 }
 
-/// The per-template output sinks. The dumbbell template streams through
-/// SweepJsonWriter (the figs 15-18 record schema); the campaign-style
-/// templates write through the AtomicFile emitters their fig binaries use.
+/// The per-template output sinks: one atomically published JSON array plus
+/// the cross-point state the closing footer and gates need.
 struct OutputSinks {
-  std::unique_ptr<SweepJsonWriter> sweep_json;
   std::unique_ptr<durable::AtomicFile> json;
   bool json_first = true;
   bool healthy = true;
+  /// Dumbbell template: --packet-background/--fluid-background add the
+  /// "background_mbps" field; Figure 18's utilization spread starts at the
+  /// stats window.
+  bool with_background = false;
+  sim::Time stats_start{};
+  DumbbellHeadline headline;
   // Cross-point recovery comparison (resilience template only); checked
-  // after the consume loop by finalize_health().
+  // after the consume loop.
   ResilienceGate resilience_gate;
 
-  OutputSinks(const campaign::Expansion& x, const Options& opts) {
-    if (x.template_id == campaign::TemplateId::kDumbbellSweep) {
-      sweep_json = std::make_unique<SweepJsonWriter>(
-          opts.json_path,
-          opts.packet_background > 0 || opts.fluid_background > 0);
-      return;
-    }
+  explicit OutputSinks(const Options& opts)
+      : with_background(opts.packet_background > 0 ||
+                        opts.fluid_background > 0),
+        stats_start(bench::stats_start(opts)) {
     if (opts.json_path.empty()) return;
     json = std::make_unique<durable::AtomicFile>(opts.json_path);
     if (!json->healthy()) {
@@ -345,27 +350,23 @@ struct OutputSinks {
   }
 
   void abort() {
-    if (sweep_json != nullptr) sweep_json->abort();
     if (json != nullptr) json->abort();
   }
 
   bool commit() {
-    bool ok = true;
-    if (sweep_json != nullptr) ok = sweep_json->commit();
-    if (json != nullptr) {
-      json->write("\n]\n");
-      const durable::Status status = json->commit();
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: JSON not written: %s\n",
-                     status.message().c_str());
-        ok = false;
-      }
+    if (json == nullptr) return true;
+    json->write("\n]\n");
+    const durable::Status status = json->commit();
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: JSON not written: %s\n",
+                   status.message().c_str());
+      return false;
     }
-    return ok;
+    return true;
   }
 };
 
-/// Consumes one completed point: the fig binary's table row, JSON record and
+/// Consumes one completed point: the template's table row, JSON record and
 /// health predicate. Runs on the calling thread in global index order — the
 /// same consume path for live, resumed and merged points.
 void consume_point(const TemplateView& v, OutputSinks& out,
@@ -376,22 +377,23 @@ void consume_point(const TemplateView& v, OutputSinks& out,
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep: {
       const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      std::printf("%-14s %-16s %-10g %-8g %-9.2f %-9.2f %-7.3f\n",
-                  aqm_label(aqm), v.text(p, v.cc_mix).c_str(),
-                  v.num(p, v.rate), v.num(p, v.rtt), result.mean_qdelay_ms,
-                  result.p99_qdelay_ms, result.utilization);
-      if (out.sweep_json != nullptr) {
-        SweepPoint point{aqm,
-                         mix_from_name(v.text(p, v.cc_mix)),
-                         v.num(p, v.rate),
-                         v.num(p, v.rtt),
-                         result,
-                         p.index,
-                         p.seed,
-                         manifest_path};
-        out.sweep_json->add(point);
+      const MixKind mix = mix_from_name(v.text(p, v.cc_mix));
+      if (!result.violations.empty()) {
+        std::printf("!! point %zu: %llu invariant violation(s), see JSON\n",
+                    p.index,
+                    static_cast<unsigned long long>(result.violations.size()));
       }
-      return;  // exit parity with sweep_exit_code: no machinery gate
+      dumbbell_print_row(aqm, mix, v.num(p, v.rate), v.num(p, v.rtt),
+                         out.stats_start, result);
+      out.headline.record(aqm, mix, dumbbell_ratio(result, mix));
+      if (out.json != nullptr) {
+        dumbbell_json_record(*out.json, out.json_first, p.index, aqm, mix,
+                             v.num(p, v.rate), v.num(p, v.rtt), p.seed,
+                             out.with_background, manifest_path, result);
+      }
+      // Violations are reported above but not fatal: Figures 15-18 have no
+      // machinery gate.
+      return;
     }
     case TemplateId::kOverload: {
       const std::string& ecn = v.text(p, v.ecn);
@@ -460,11 +462,11 @@ void consume_failed(const TemplateView& v, OutputSinks& out,
                   v.text(p, v.cc_mix).c_str(), v.num(p, v.rate),
                   v.num(p, v.rtt), runner::to_string(status),
                   message.c_str());
-      if (out.sweep_json != nullptr) {
-        out.sweep_json->add_failed(p.index, aqm_from_name(v.text(p, v.aqm)),
-                                   mix_from_name(v.text(p, v.cc_mix)),
-                                   v.num(p, v.rate), v.num(p, v.rtt), status,
-                                   message);
+      if (out.json != nullptr) {
+        dumbbell_json_failed(*out.json, out.json_first, p.index, status,
+                             aqm_from_name(v.text(p, v.aqm)),
+                             mix_from_name(v.text(p, v.cc_mix)),
+                             v.num(p, v.rate), v.num(p, v.rtt), message);
       }
       return;
     case TemplateId::kOverload:
@@ -502,6 +504,31 @@ void consume_failed(const TemplateView& v, OutputSinks& out,
                                v.text(p, v.fault).c_str(),
                                v.num(p, v.fluid));
       }
+      return;
+  }
+}
+
+/// Closes the table with the figure's expectation footer (and, for Figures
+/// 15-18, the grid-wide headline of Figure 15).
+void print_footer(const TemplateView& v, const OutputSinks& out) {
+  using campaign::TemplateId;
+  if (v.x.template_id == TemplateId::kResilience) return;
+  std::printf("\n");
+  switch (v.x.template_id) {
+    case TemplateId::kDumbbellSweep:
+      out.headline.print();
+      std::fputs(kDumbbellExpectation, stdout);
+      return;
+    case TemplateId::kOverload:
+      std::fputs(kOverloadExpectation, stdout);
+      return;
+    case TemplateId::kParkingLot:
+      std::fputs(kParkingExpectation, stdout);
+      return;
+    case TemplateId::kRttMix:
+      std::fputs(kRttMixExpectation, stdout);
+      return;
+    case TemplateId::kResilience:
       return;
   }
 }
@@ -618,7 +645,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
     (void)journal.append_shard(shard);
   }
 
-  OutputSinks out{x, opts};
+  OutputSinks out{opts};
   const runner::ParallelRunner pool{opts.jobs};
   const bool telemetry_on = !opts.telemetry_dir.empty();
   telemetry::MetricsRegistry aggregate_registry;
@@ -733,6 +760,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
     }
   }
 
+  if (!cli.has_shard) print_footer(v, out);
   std::printf("# points ok: %zu/%zu\n", report.ok_count(),
               report.status.size());
   // The paper's robustness claim, as a semantic gate: PI2 must reconverge
@@ -794,7 +822,7 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
   // reconstructed from the point index exactly as --resume does: the shards
   // wrote their telemetry under the same deterministic per-point run ids.
   const TemplateView v{x};
-  OutputSinks out{x, opts};
+  OutputSinks out{opts};
   const bool telemetry_on = !opts.telemetry_dir.empty();
   for (std::size_t i = 0; i < x.points.size(); ++i) {
     scenario::RunResult result;
@@ -815,6 +843,7 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
     consume_point(v, out, x.points[i], result, manifest_path);
   }
   out.commit();
+  print_footer(v, out);
   if (x.template_id == campaign::TemplateId::kResilience) {
     if (!out.resilience_gate.check()) out.healthy = false;
   }
@@ -826,14 +855,12 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --help must short-circuit before parse_options, whose own generic
-  // --help handler would exit without the template/axis enumeration.
-  const CampaignCli cli = parse_campaign_cli(argc, argv);
+  CampaignCli cli;
+  const Options opts = parse_cli(argc, argv, cli);
   if (cli.help) {
     print_usage(stdout);
     return 0;
   }
-  const Options opts = parse_options(argc, argv);
   if (!cli.error.empty()) return usage_error(cli.error);
   if (cli.has_shard && !opts.json_path.empty()) {
     return usage_error("--shard runs journal only; --json belongs to the "
@@ -845,7 +872,7 @@ int main(int argc, char** argv) {
   if (err.empty()) err = spec.validate();
   if (!err.empty()) {
     std::fprintf(stderr, "pi2_campaign: %s\n", err.c_str());
-    return 17;
+    return kUsageExit;
   }
 
   campaign::ExpandOptions eo;
@@ -856,12 +883,21 @@ int main(int argc, char** argv) {
   eo.stats_start_s_override = opts.stats_start_s_override;
   eo.use_seed = cli.use_seed;
   eo.seed = opts.seed;
-  const campaign::Expansion x = campaign::expand(spec, eo);
+  campaign::Expansion x = campaign::expand(spec, eo);
+  // The background tiers change every dumbbell point's result without being
+  // part of the spec; folding them into the digest that keys the journal
+  // makes --resume and --merge refuse a journal run with other tiers.
+  if (opts.packet_background > 0 || opts.fluid_background > 0) {
+    durable::Fnv1a h{x.digest};
+    h.mix_u64(static_cast<std::uint64_t>(opts.packet_background));
+    h.mix_u64(static_cast<std::uint64_t>(opts.fluid_background));
+    x.digest = h.state;
+  }
   if (x.points.empty()) {
     std::fprintf(stderr, "pi2_campaign: campaign '%s' expands to 0 points "
                  "(grid cap or --min-link-mbps removed everything)\n",
                  x.name.c_str());
-    return 17;
+    return kUsageExit;
   }
 
   // Resolve every fault_schedule value up front: an unknown preset or a
@@ -878,7 +914,7 @@ int main(int argc, char** argv) {
       if (!fault_err.empty()) {
         std::fprintf(stderr, "pi2_campaign: axes[%zu].values[%zu]: %s\n", a, j,
                      fault_err.c_str());
-        return 17;
+        return kUsageExit;
       }
     }
   }

@@ -7,15 +7,16 @@
 # vs the in-binary legacy baseline — (b) the micro_probe_overhead results,
 # including the probes-attached vs detached dumbbell ratio (budget: <5%,
 # see EXPERIMENTS.md "Observability"), (c) quick-grid sweep wall clock at
-# --jobs 1 / 2 / $(nproc) for fig15_rate_balance (realized speedup is
-# parallel-vs-serial), run with --telemetry so every per-point record
-# carries its RunManifest path, (d) the micro_flow_scale per-N
-# events/s + bytes-per-flow table for the hybrid fluid/packet engine,
+# --jobs 1 / 2 / $(nproc) for pi2_campaign on campaigns/fig15_18.json
+# (realized speedup is parallel-vs-serial), run with --telemetry so every
+# per-point record carries its RunManifest path, (d) the micro_flow_scale
+# per-N events/s + bytes-per-flow table for the hybrid fluid/packet engine,
 # including its ≥10× scheduler-events acceptance gate, and (e) the
-# distributed-campaign numbers: the committed fig15 and fig_resilience
+# distributed-campaign numbers: the committed fig15_18 and fig_resilience
 # campaigns each run serially vs as 3 parallel --shard workers plus
 # --merge, with the merged JSON required to be byte-identical to the
-# serial run's.
+# serial run's. google-benchmark times are recorded in nanoseconds
+# whatever each benchmark's own time_unit.
 # Compare the file against the previous PR's copy to see per-event and
 # end-to-end movement.
 #
@@ -28,8 +29,8 @@ OUT=${1:-BENCH_sweep.json}
 JOBS=${JOBS:-$(nproc)}
 
 missing=0
-for bin in micro_scheduler micro_probe_overhead fig15_rate_balance \
-           micro_flow_scale pi2_campaign; do
+for bin in micro_scheduler micro_probe_overhead micro_flow_scale \
+           pi2_campaign; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "error: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR --target $bin)" >&2
     missing=1
@@ -56,11 +57,14 @@ import json, os, shutil, subprocess, sys, tempfile, time
 
 build = os.environ["BUILD_DIR"]
 jobs = int(os.environ["JOBS"])
-fig15 = os.path.join(build, "bench", "fig15_rate_balance")
-telemetry_dir = os.path.join(build, "bench", "telemetry_fig15")
+campaign_bin = os.path.join(build, "bench", "pi2_campaign")
+fig15_18_spec = os.path.join("campaigns", "fig15_18.json")
+telemetry_dir = os.path.join(build, "bench", "telemetry_fig15_18")
+workdir = tempfile.mkdtemp(prefix="campaign_bench_")
 
 def timed_sweep(n_jobs, json_path=None):
-    cmd = [fig15, "--jobs", str(n_jobs)]
+    cmd = [campaign_bin, "--spec", fig15_18_spec, "--jobs", str(n_jobs),
+           "--journal", os.path.join(workdir, f"sweep_jobs{n_jobs}.journal")]
     if json_path:
         cmd += ["--json", json_path, "--telemetry", telemetry_dir]
     start = time.monotonic()
@@ -97,11 +101,16 @@ if no_manifest:
 serial_s = wall[1]
 parallel_s = wall[jobs]
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 def load_benchmarks(env_key):
     with open(os.environ[env_key]) as f:
         data = json.load(f)
+    # cpu_time is in each benchmark's own time_unit (BM_DumbbellRun_* report
+    # milliseconds); convert so every cpu_time_ns really is nanoseconds.
     return {
-        b["name"]: {"cpu_time_ns": b["cpu_time"],
+        b["name"]: {"cpu_time_ns": b["cpu_time"]
+                        * NS_PER_UNIT[b.get("time_unit", "ns")],
                     "items_per_second": b.get("items_per_second")}
         for b in data["benchmarks"]
     }
@@ -109,12 +118,10 @@ def load_benchmarks(env_key):
 # Distributed campaigns: each quick grid run serially and as 3 parallel
 # shard workers plus a merge. The merge speedup compares the serial wall
 # clock against the critical path of the sharded run (slowest worker +
-# merge); the merged JSON must be byte-identical. fig15 is the dumbbell
+# merge); the merged JSON must be byte-identical. fig15_18 is the dumbbell
 # sweep reference; fig_resilience exercises the fault-schedule and
 # fluid-background axes (its 100k-fluid points lean on the hybrid engine).
-campaign_bin = os.path.join(build, "bench", "pi2_campaign")
 shard_count = 3
-workdir = tempfile.mkdtemp(prefix="campaign_bench_")
 shard_jobs = max(1, jobs // shard_count)
 
 def shard_benchmark(spec, tag, telemetry=True):
@@ -176,8 +183,7 @@ def shard_benchmark(spec, tag, telemetry=True):
         "byte_identical": True,
     }
 
-campaign_sharding = shard_benchmark(
-    os.path.join("campaigns", "fig15.json"), "fig15")
+campaign_sharding = shard_benchmark(fig15_18_spec, "fig15_18")
 # The resilience grid's replayed merge points carry no fresh telemetry, so
 # the sharded runs skip the recorder and time the simulation itself.
 resilience_sharding = shard_benchmark(
@@ -245,11 +251,11 @@ with open(tmp_out, "w") as f:
     os.fsync(f.fileno())
 os.replace(tmp_out, os.environ["OUT"])
 shutil.rmtree(workdir, ignore_errors=True)
-print(f"wrote {os.environ['OUT']}: quick fig15 {serial_s}s @1 job, "
+print(f"wrote {os.environ['OUT']}: quick fig15_18 {serial_s}s @1 job, "
       f"{parallel_s}s @{jobs} jobs; probe overhead "
       f"{overhead_pct if overhead_pct is not None else '?'}%; "
       f"campaign {shard_count}-shard merge speedup "
-      f"{out['campaign_sharding']['merge_speedup']}x (fig15), "
+      f"{out['campaign_sharding']['merge_speedup']}x (fig15_18), "
       f"{out['resilience_sharding']['merge_speedup']}x (resilience), "
       "both byte-identical")
 PY

@@ -1,27 +1,15 @@
-// The link-rate x RTT sweep engine behind Figures 15-18: for every grid
-// point run two scenarios (Cubic vs DCTCP, Cubic vs ECN-Cubic) under both
-// PIE and the coupled PI2, and hand each result to the figure's printer.
+// Per-point plumbing shared by the grid drivers (bench/pi2_campaign and
+// fig_response): the guarded runner's retry/deadline options, the
+// --inject-fail/--inject-hang test hooks, per-point telemetry recorder
+// configs and the default journal location.
 //
-// Grid points are independent simulations, so they fan out across
-// --jobs worker threads via runner::ParallelRunner. Results are consumed in
-// submission order on the calling thread, which keeps every figure's table
-// byte-identical to a serial run regardless of the job count. Each point
-// seeds its own RNG stream from (base seed, point index) — no shared state.
-//
-// Sweeps run through the *guarded* runner: a point that throws or exceeds
-// the --deadline-s wall-clock watchdog is retried (--retries, default 1,
-// with --backoff-ms exponential backoff) and, if it still fails, reported as
-// `failed`/`timeout` — in the printed table, in the per-point JSON record,
-// and in the returned RunReport — while every other point completes
-// normally. Callers exit non-zero when !report.all_ok().
-//
-// Sweeps are also *durable*: every completed point is appended (fsync'd) to
-// a run journal before it is consumed, SIGINT/SIGTERM stop the sweep at a
-// point boundary (exit code 75 = interrupted-but-resumable), and --resume
-// replays journaled points through the unchanged consume path so the final
-// table and --json output are byte-identical to an uninterrupted run. The
-// --json artifact itself is written atomically (tmp + fsync + rename): an
-// interrupted or crashed sweep leaves no half-written JSON behind.
+// Grid points are independent simulations that fan out across --jobs worker
+// threads via runner::ParallelRunner; results are consumed in submission
+// order on the calling thread, so every table and --json artifact is
+// byte-identical to a serial run regardless of the job count. A point that
+// throws or exceeds the --deadline-s watchdog is retried (--retries, with
+// --backoff-ms exponential backoff) and, if it still fails, reported as
+// `failed`/`timeout` while every other point completes normally.
 #pragma once
 
 #include <chrono>
@@ -48,166 +36,12 @@
 
 namespace pi2::bench {
 
-struct SweepPoint {
-  scenario::AqmType aqm;
-  MixKind mix;
-  double link_mbps;
-  double rtt_ms;
-  scenario::RunResult result;
-  std::size_t index = 0;       ///< position in the submission order
-  std::uint64_t seed = 0;      ///< derived per-point RNG seed
-  /// Path of the point's RunManifest ("" when --telemetry is off).
-  std::string manifest_path;
-};
-
 inline const char* aqm_label(scenario::AqmType aqm) {
   return aqm == scenario::AqmType::kPie ? "PIE" : "PI2(coupled)";
 }
 
-/// Minimal JSON string escaping for error messages embedded in records.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Streams one machine-readable record per sweep point as a JSON array.
-/// Used by --json to make runs comparable across PRs (BENCH_sweep.json).
-/// Every record carries a "status" field ("ok" / "failed" / "timeout");
-/// failed and timed-out points get a reduced record with the error message
-/// instead of measurements, so downstream tooling can tell a missing point
-/// from a zero-valued one.
-///
-/// The file is written through durable::AtomicFile: records accumulate in
-/// `<path>.tmp` and the destination only appears on commit(). abort() (the
-/// interrupted-sweep path) drops the tmp, so readers never see a torn array.
-class SweepJsonWriter {
- public:
-  SweepJsonWriter() = default;
-  /// `with_background` adds a "background_mbps" field (aggregate goodput of
-  /// the Reno background tier, packet or fluid) to each record. Off by
-  /// default so baselines without a background keep their exact field set.
-  explicit SweepJsonWriter(const std::string& path,
-                           bool with_background = false)
-      : with_background_(with_background) {
-    if (path.empty()) return;
-    file_ = std::make_unique<durable::AtomicFile>(path);
-    if (!file_->healthy()) {
-      std::fprintf(stderr, "warning: %s; no JSON written\n",
-                   file_->status().message().c_str());
-      file_.reset();
-      return;
-    }
-    file_->write("[");
-  }
-  SweepJsonWriter(const SweepJsonWriter&) = delete;
-  SweepJsonWriter& operator=(const SweepJsonWriter&) = delete;
-  ~SweepJsonWriter() = default;  // un-committed AtomicFile aborts itself
-
-  void add(const SweepPoint& p) {
-    if (file_ == nullptr) return;
-    const auto& c = p.result.window_counters;
-    file_->printf(
-        "%s\n"
-        "  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-        "\"mix\": \"%s\", "
-        "\"link_mbps\": %g, \"rtt_ms\": %g, \"seed\": %llu, "
-        "\"mean_qdelay_ms\": %.6g, \"p99_qdelay_ms\": %.6g, "
-        "\"utilization\": %.6g, \"signal_rate\": %.6g, "
-        "\"cubic_mbps\": %.6g, \"other_mbps\": %.6g, "
-        "\"enqueued\": %lld, \"forwarded\": %lld, \"aqm_dropped\": %lld, "
-        "\"tail_dropped\": %lld, \"marked\": %lld, "
-        "\"events_executed\": %llu, \"clamped_events\": %llu, "
-        "\"invariant_violations\": %llu, \"guard_events\": %llu",
-        first_ ? "" : ",", p.index, aqm_label(p.aqm), to_string(p.mix),
-        p.link_mbps, p.rtt_ms, static_cast<unsigned long long>(p.seed),
-        p.result.mean_qdelay_ms, p.result.p99_qdelay_ms, p.result.utilization,
-        p.result.observed_signal_rate(),
-        p.result.mean_goodput_mbps(tcp::CcType::kCubic),
-        p.result.mean_goodput_mbps(other_cc(p.mix)),
-        static_cast<long long>(c.enqueued), static_cast<long long>(c.forwarded),
-        static_cast<long long>(c.aqm_dropped),
-        static_cast<long long>(c.tail_dropped), static_cast<long long>(c.marked),
-        static_cast<unsigned long long>(p.result.events_executed),
-        static_cast<unsigned long long>(p.result.clamped_events),
-        static_cast<unsigned long long>(p.result.violations.size()),
-        static_cast<unsigned long long>(p.result.guard_events));
-    if (with_background_) {
-      // The background load is Reno at either engine tier (bench_common
-      // mix_config); the aggregate rate is the mean-field quantity the two
-      // renderings must agree on, so the fluid golden gates it directly.
-      double background_mbps = 0.0;
-      for (const auto& flow : p.result.flows) {
-        if (flow.cc == tcp::CcType::kReno && !flow.is_udp) {
-          background_mbps += flow.goodput_mbps * flow.count;
-        }
-      }
-      file_->printf(", \"background_mbps\": %.6g", background_mbps);
-    }
-    if (!p.manifest_path.empty()) {
-      file_->printf(", \"telemetry_manifest\": \"%s\"",
-                    json_escape(p.manifest_path).c_str());
-    }
-    file_->write("}");
-    first_ = false;
-  }
-
-  void add_failed(std::size_t index, scenario::AqmType aqm, MixKind mix,
-                  double link_mbps, double rtt_ms, runner::TaskStatus status,
-                  const std::string& message) {
-    if (file_ == nullptr) return;
-    file_->printf(
-        "%s\n"
-        "  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\", "
-        "\"mix\": \"%s\", \"link_mbps\": %g, \"rtt_ms\": %g, "
-        "\"error\": \"%s\"}",
-        first_ ? "" : ",", index, runner::to_string(status), aqm_label(aqm),
-        to_string(mix), link_mbps, rtt_ms, json_escape(message).c_str());
-    first_ = false;
-  }
-
-  /// Seals the array and atomically publishes the destination file.
-  bool commit() {
-    if (file_ == nullptr) return true;
-    file_->write("\n]\n");
-    const durable::Status status = file_->commit();
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: sweep JSON not written: %s\n",
-                   status.message().c_str());
-    }
-    file_.reset();
-    return status.ok();
-  }
-
-  /// Drops the tmp file; the destination (if any) is left untouched. Used
-  /// when a sweep is interrupted so no incomplete JSON array ever exists.
-  void abort() {
-    if (file_ == nullptr) return;
-    file_->abort();
-    file_.reset();
-  }
-
- private:
-  std::unique_ptr<durable::AtomicFile> file_;
-  bool first_ = true;
-  bool with_background_ = false;
-};
+/// Escapes error messages and paths embedded in JSON records.
+using durable::json_escape;
 
 namespace detail {
 /// Test hook honoring --inject-fail / --inject-hang: makes one grid point
@@ -274,303 +108,6 @@ inline std::string journal_path(const Options& opts) {
   return base + ".journal";
 }
 
-/// Digest of everything that determines the sweep's results: seed, grid
-/// axes, durations. A journal whose header disagrees is from a different
-/// campaign and its cached points are refused on --resume.
-inline std::uint64_t campaign_key(const Options& opts) {
-  durable::Fnv1a h;
-  h.mix_string("pi2-sweep-campaign-v1");
-  h.mix_u64(opts.seed);
-  h.mix_u64(static_cast<std::uint64_t>(run_duration(opts).count()));
-  h.mix_u64(static_cast<std::uint64_t>(stats_start(opts).count()));
-  const std::vector<double> links = link_grid(opts);
-  const std::vector<double> rtts = rtt_grid(opts);
-  h.mix_u64(links.size());
-  for (const double v : links) h.mix_double(v);
-  h.mix_u64(rtts.size());
-  for (const double v : rtts) h.mix_double(v);
-  // Background load changes every point's results, so a journal from a
-  // different background mix must be refused on --resume.
-  h.mix_u64(static_cast<std::uint64_t>(opts.packet_background));
-  h.mix_u64(static_cast<std::uint64_t>(opts.fluid_background));
-  return h.state;
-}
-
-/// Per-point journal key: position plus every parameter the point's
-/// simulation depends on.
-inline std::uint64_t point_key(std::size_t index, scenario::AqmType aqm,
-                               MixKind mix, double link_mbps, double rtt_ms,
-                               std::uint64_t derived_seed) {
-  durable::Fnv1a h;
-  h.mix_string("pi2-sweep-point-v1");
-  h.mix_u64(index);
-  h.mix_u64(static_cast<std::uint64_t>(aqm));
-  h.mix_u64(static_cast<std::uint64_t>(mix));
-  h.mix_double(link_mbps);
-  h.mix_double(rtt_ms);
-  h.mix_u64(derived_seed);
-  return h.state;
-}
 }  // namespace detail
-
-/// Runs the full grid, invoking `consume` per completed point in grid order.
-/// Grid points execute on opts.jobs worker threads; `consume` (and the
-/// progress grouping headers) run on the calling thread only. Failed or
-/// timed-out points are announced on the table, recorded in the JSON stream
-/// and returned in the report — they never reach `consume`.
-///
-/// Durability: each completed point is journaled (append + fsync) *before*
-/// it is consumed; with --resume, journaled points are decoded and pushed
-/// through the same ordered consume path without re-simulating. On
-/// SIGINT/SIGTERM the runner stops at a point boundary, an `interrupted`
-/// marker is journaled, and the --json tmp file is dropped un-renamed;
-/// sweep_exit_code() then reports 75 (resume with --resume).
-inline runner::RunReport run_sweep(
-    const Options& opts, const std::function<void(const SweepPoint&)>& consume) {
-  struct GridPoint {
-    scenario::AqmType aqm;
-    MixKind mix;
-    double link_mbps;
-    double rtt_ms;
-    std::uint64_t seed = 0;  ///< derived per-point RNG seed
-    std::uint64_t key = 0;   ///< journal key
-  };
-  std::vector<GridPoint> grid;
-  for (const auto aqm : {scenario::AqmType::kPie, scenario::AqmType::kCoupledPi2}) {
-    for (const auto mix : {MixKind::kCubicVsEcnCubic, MixKind::kCubicVsDctcp}) {
-      for (const double link : link_grid(opts)) {
-        for (const double rtt : rtt_grid(opts)) {
-          GridPoint g{aqm, mix, link, rtt, 0, 0};
-          g.seed = sim::Rng::derive_seed(opts.seed, grid.size());
-          g.key = detail::point_key(grid.size(), aqm, mix, link, rtt, g.seed);
-          grid.push_back(g);
-        }
-      }
-    }
-  }
-  const std::size_t per_group = link_grid(opts).size() * rtt_grid(opts).size();
-
-  durable::ShutdownController::install();
-  const std::uint64_t campaign = detail::campaign_key(opts);
-  const std::string journal_file = detail::journal_path(opts);
-
-  // --resume: decode every journaled point up front; decode failures (a
-  // payload from an incompatible build, say) simply re-run that point.
-  std::vector<std::unique_ptr<scenario::RunResult>> replay(grid.size());
-  std::size_t replayed = 0;
-  bool journal_keep = false;
-  if (opts.resume) {
-    const durable::LoadedJournal loaded =
-        durable::load_journal(journal_file, campaign);
-    if (loaded.exists && !loaded.header_ok) {
-      std::fprintf(stderr,
-                   "resume: journal %s is from a different campaign "
-                   "(header %016llx, expected %016llx); ignoring it\n",
-                   journal_file.c_str(),
-                   static_cast<unsigned long long>(loaded.header_key),
-                   static_cast<unsigned long long>(campaign));
-    }
-    if (loaded.dropped > 0) {
-      std::fprintf(stderr,
-                   "resume: dropped %zu torn/corrupt journal record(s); "
-                   "affected points re-run\n",
-                   loaded.dropped);
-    }
-    if (loaded.header_ok) {
-      journal_keep = true;
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        const auto it = loaded.points.find(grid[i].key);
-        if (it == loaded.points.end()) continue;
-        auto result = std::make_unique<scenario::RunResult>();
-        if (durable::decode_result(it->second, *result).ok()) {
-          replay[i] = std::move(result);
-          ++replayed;
-        } else {
-          std::fprintf(stderr,
-                       "resume: undecodable payload for point %zu; re-running\n",
-                       i);
-        }
-      }
-      std::fprintf(stderr, "resume: replaying %zu of %zu point(s) from %s%s\n",
-                   replayed, grid.size(), journal_file.c_str(),
-                   loaded.interrupted > 0 ? " (previous run was interrupted)"
-                                          : "");
-    }
-  }
-
-  durable::JournalWriter journal{journal_file, campaign, journal_keep};
-  if (!journal.healthy()) {
-    std::fprintf(stderr, "warning: run journal unavailable (%s); "
-                 "this sweep will not be resumable\n",
-                 journal.status().message().c_str());
-  }
-
-  SweepJsonWriter json{opts.json_path,
-                       opts.packet_background > 0 || opts.fluid_background > 0};
-  const runner::ParallelRunner pool{opts.jobs};
-
-  // Each attempt owns its telemetry recorder and hands it to the consuming
-  // thread inside the produced result (a stuck attempt's recorder is
-  // discarded with its stale result, so a retry never shares one). Caveat:
-  // a zombie attempt that outlives its deadline still writes the same
-  // artifact paths as its retry; artifacts of a *timed-out-then-retried*
-  // point are therefore best-effort, ok points are exact.
-  const bool telemetry_on = !opts.telemetry_dir.empty();
-  telemetry::MetricsRegistry sweep_registry;  ///< submission-order aggregate
-  telemetry::SectionProfile sweep_profile;
-  // shared_ptr (not unique_ptr): the runner's commit closure is a
-  // std::function, which requires a copy-constructible capture.
-  struct PointOutcome {
-    scenario::RunResult result;
-    std::shared_ptr<telemetry::Recorder> recorder;
-  };
-
-  // Last attempt's exception message per point, for the failure records.
-  std::mutex error_mutex;
-  std::vector<std::string> last_error(grid.size());
-  std::size_t interrupted_points = 0;
-
-  runner::RunReport report = pool.run_ordered_guarded<PointOutcome>(
-      grid.size(),
-      [&](std::size_t i) {
-        if (replay[i] != nullptr) {
-          PointOutcome outcome;
-          outcome.result = *replay[i];
-          return outcome;
-        }
-        try {
-          detail::maybe_inject(opts, i);
-          const GridPoint& g = grid[i];
-          auto cfg = mix_config(g.aqm, g.mix, g.link_mbps, g.rtt_ms, opts);
-          cfg.seed = g.seed;
-          cfg.stop = durable::ShutdownController::flag();
-          PointOutcome outcome;
-          if (telemetry_on) {
-            outcome.recorder = std::make_shared<telemetry::Recorder>(
-                detail::point_recorder_config(opts, i));
-            cfg.recorder = outcome.recorder.get();
-          }
-          outcome.result = scenario::run_dumbbell(cfg);
-          return outcome;
-        } catch (const std::exception& ex) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          last_error[i] = ex.what();
-          throw;
-        }
-      },
-      [&](std::size_t i, runner::TaskStatus status, PointOutcome* outcome) {
-        const GridPoint& g = grid[i];
-        if (status == runner::TaskStatus::kInterrupted) {
-          ++interrupted_points;  // summarized once after the run
-          return;
-        }
-        if (i % per_group == 0) {
-          std::printf("\n== %s, %s ==\n", aqm_label(g.aqm), to_string(g.mix));
-        }
-        if (status == runner::TaskStatus::kOk && outcome != nullptr) {
-          SweepPoint point{g.aqm,  g.mix, g.link_mbps,
-                           g.rtt_ms, std::move(outcome->result), i,
-                           g.seed, {}};
-          if (outcome->recorder != nullptr) {
-            point.manifest_path = outcome->recorder->manifest_path();
-            sweep_registry.merge_from(outcome->recorder->registry());
-            sweep_profile.merge_from(outcome->recorder->profile());
-            outcome->recorder.reset();
-          } else if (telemetry_on && replay[i] != nullptr) {
-            // Replayed points re-use the interrupted run's artifacts; the
-            // manifest path is deterministic, so the JSON record matches.
-            point.manifest_path = opts.telemetry_dir + "/" +
-                                  detail::point_run_id(i) + ".manifest.json";
-          }
-          if (replay[i] == nullptr && journal.healthy()) {
-            // Journal *before* consume: a crash while printing still leaves
-            // the point recoverable.
-            (void)journal.append_point(g.key,
-                                       durable::encode_result(point.result));
-          }
-          if (!point.result.violations.empty()) {
-            std::printf("!! point %zu: %llu invariant violation(s), see JSON\n",
-                        i, static_cast<unsigned long long>(
-                               point.result.violations.size()));
-          }
-          consume(point);
-          json.add(point);
-          return;
-        }
-        std::string message;
-        if (status == runner::TaskStatus::kTimeout) {
-          message = "wall-clock deadline exceeded (--deadline-s " +
-                    std::to_string(opts.deadline_s) + ")";
-        } else {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          message = last_error[i].empty() ? "unknown error" : last_error[i];
-        }
-        std::printf("!! point %zu (%s, %s, %g Mb/s, %g ms) %s: %s\n", i,
-                    aqm_label(g.aqm), to_string(g.mix), g.link_mbps, g.rtt_ms,
-                    runner::to_string(status), message.c_str());
-        json.add_failed(i, g.aqm, g.mix, g.link_mbps, g.rtt_ms, status,
-                        message);
-      },
-      detail::guard_options(opts));
-
-  const bool interrupted = durable::ShutdownController::requested();
-  if (interrupted) {
-    if (journal.healthy()) {
-      (void)journal.append_interrupted(
-          "signal " +
-          std::to_string(durable::ShutdownController::signal_number()));
-    }
-    json.abort();
-    std::fprintf(stderr,
-                 "sweep: interrupted — %zu point(s) unfinished; completed "
-                 "work is journaled in %s, re-run with --resume to finish\n",
-                 interrupted_points, journal_file.c_str());
-  } else {
-    json.commit();
-  }
-  if (!journal.healthy()) {
-    std::fprintf(stderr, "warning: journal write failed (%s); "
-                 "a --resume of this run may repeat completed points\n",
-                 journal.status().message().c_str());
-  }
-
-  if (telemetry_on && !interrupted) {
-    if (replayed > 0) {
-      // Replayed points carry no fresh recorder, so a sweep-wide aggregate
-      // would silently undercount. Skip it rather than publish a lie.
-      std::fprintf(stderr,
-                   "sweep: %zu replayed point(s) have no fresh telemetry; "
-                   "skipping sweep_aggregate.prom\n",
-                   replayed);
-    } else {
-      // Sweep-wide aggregate (counters + histograms summed across points, in
-      // submission order) and the wall-clock section profile. Only the
-      // aggregate snapshot is byte-identical across --jobs values; wall-clock
-      // numbers go to stderr.
-      telemetry::PrometheusExporter aggregate{opts.telemetry_dir +
-                                              "/sweep_aggregate.prom"};
-      sweep_registry.freeze_gauges();
-      aggregate.finish(sweep_registry);
-      sweep_profile.print(stderr, "sweep wall-clock sections");
-    }
-  }
-
-  if (!interrupted && !report.all_ok()) {
-    std::fprintf(stderr, "sweep: %zu of %zu points did not complete\n",
-                 report.failures.size(), report.status.size());
-  }
-  return report;
-}
-
-/// Exit code for a figure binary given its sweep report: 0 when every point
-/// completed, 75 (EX_TEMPFAIL) when the sweep was interrupted by
-/// SIGINT/SIGTERM and can be finished with --resume, 1 otherwise (partial
-/// results were still printed/written).
-inline int sweep_exit_code(const runner::RunReport& report) {
-  if (durable::ShutdownController::requested()) {
-    return durable::ShutdownController::kExitInterrupted;
-  }
-  return report.all_ok() ? 0 : 1;
-}
 
 }  // namespace pi2::bench

@@ -23,28 +23,6 @@ std::string format_number(double v) {
   return std::string(buf, res.ptr);
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // ---- JSON subset parser -----------------------------------------------------
 // Hand-rolled (no dependencies): objects, arrays, strings, numbers, bools,
 // null. Field order is preserved so strict key checking can point at the
@@ -301,8 +279,8 @@ const AxisRule* axis_rule(const std::string& name) {
   return nullptr;
 }
 
-/// Axes each template accepts — all of them required, matching the fixed
-/// loop nests of the fig binaries the templates reproduce.
+/// Axes each template accepts — all of them required, one per dimension of
+/// the figure the template reproduces.
 const std::vector<std::string>& template_axes(TemplateId id) {
   static const std::vector<std::string> dumbbell{"aqm", "cc_mix", "rate_mbps",
                                                  "rtt_ms"};
@@ -415,7 +393,9 @@ std::string values_to_json(const std::vector<AxisValue>& values) {
     if (values[i].is_number) {
       out += format_number(values[i].number);
     } else {
-      out += "\"" + escape(values[i].text) + "\"";
+      out += '"';
+      out += durable::json_escape(values[i].text);
+      out += '"';
     }
   }
   return out + "]";
@@ -606,8 +586,9 @@ std::string load_spec(const std::string& path, CampaignSpec& spec) {
 
 std::string serialize_spec(const CampaignSpec& spec) {
   std::string out = "{\n";
-  out += "  \"name\": \"" + escape(spec.name) + "\",\n";
-  out += "  \"template\": \"" + escape(spec.template_name) + "\",\n";
+  out += "  \"name\": \"" + durable::json_escape(spec.name) + "\",\n";
+  out += "  \"template\": \"" + durable::json_escape(spec.template_name) +
+         "\",\n";
   out += "  \"seed\": " + std::to_string(spec.seed) + ",\n";
   if (spec.link_mbps != 0) {
     out += "  \"link_mbps\": " + format_number(spec.link_mbps) + ",\n";
@@ -618,7 +599,7 @@ std::string serialize_spec(const CampaignSpec& spec) {
   out += "  \"axes\": [\n";
   for (std::size_t i = 0; i < spec.axes.size(); ++i) {
     const Axis& axis = spec.axes[i];
-    out += "    {\"name\": \"" + escape(axis.name) + "\"";
+    out += "    {\"name\": \"" + durable::json_escape(axis.name) + "\"";
     if (!axis.cap) out += ", \"cap\": false";
     out += ", \"values\": " + values_to_json(axis.values);
     if (!axis.full_values.empty()) {
@@ -656,9 +637,9 @@ Expansion expand(const CampaignSpec& spec, const ExpandOptions& opts) {
   out.template_id = spec.template_id();
   out.base_seed = opts.use_seed ? opts.seed : spec.seed;
 
-  // Durations mirror the fig binaries: the 15-18 sweep runs 40 s quick /
-  // 100 s full with a fixed stats window, the campaign-style figures run
-  // 20 s quick / 60 s full with stats from the final three quarters.
+  // Per-template durations: the 15-18 sweep runs 40 s quick / 100 s full
+  // with a fixed stats window, the campaign-style figures run 20 s quick /
+  // 60 s full with stats from the final three quarters.
   const bool dumbbell = out.template_id == TemplateId::kDumbbellSweep;
   if (opts.duration_s_override > 0) {
     out.duration_s = opts.duration_s_override;
@@ -723,7 +704,7 @@ Expansion expand(const CampaignSpec& spec, const ExpandOptions& opts) {
   }
   out.digest = digest.state;
 
-  // Row-major, last axis fastest — the loop nesting of the fig binaries.
+  // Row-major, last axis fastest.
   out.points.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     CampaignPoint point;

@@ -3,9 +3,8 @@
 // A campaign is a JSON-subset file that names a scenario *template* (which
 // figure family builds the per-point config) and lists its *axes* (the
 // swept parameters). expand() turns the spec into an ordered point list —
-// row-major, last axis fastest, exactly the nesting order of the hand-rolled
-// loops in the fig binaries it replaces — and stamps the whole expansion
-// with a stable FNV-1a digest. The digest covers everything that determines
+// row-major, last axis fastest — and stamps the whole expansion with a
+// stable FNV-1a digest. The digest covers everything that determines
 // results (template, seed, durations, resolved axis values *after* smoke
 // capping), so a journal keyed by it can never replay points from a grid
 // that no longer exists.
@@ -13,7 +12,7 @@
 // Spec grammar (strict: unknown keys are parse errors):
 //
 //   {
-//     "name": "fig15",                 // campaign identity (journal checks)
+//     "name": "fig15_18",              // campaign identity (journal checks)
 //     "template": "dumbbell_sweep",    // | "overload" | "parking_lot"
 //                                      // | "rtt_mix" | "resilience"
 //     "seed": 1,                       // base RNG seed (CLI --seed overrides)
@@ -27,9 +26,9 @@
 //   }
 //
 // Per axis: `values` is the quick grid, `full` (optional) the --full grid,
-// and `cap` (default true) says whether --grid-cap truncates the axis —
-// matching the fig binaries, where --smoke caps the numeric grids but never
-// the AQM/mix enumerations of the 15-18 sweep.
+// and `cap` (default true) says whether --grid-cap truncates the axis, so
+// --smoke caps the numeric grids but never the AQM/mix enumerations of the
+// Figures 15-18 sweep.
 //
 // The campaign layer is deliberately scenario-free: axis values are strings
 // and numbers, and bench/pi2_campaign maps them onto scenario types. That
@@ -46,8 +45,8 @@
 
 namespace pi2::campaign {
 
-/// Scenario families a spec can instantiate; each maps to one fig binary's
-/// grid loop and per-point config builder.
+/// Scenario families a spec can instantiate; each maps to one per-point
+/// config builder in bench/campaign_templates.hpp.
 enum class TemplateId {
   kDumbbellSweep,
   kOverload,
@@ -85,8 +84,8 @@ struct AxisValue {
 
 struct Axis {
   std::string name;
-  /// --grid-cap truncates this axis (the fig binaries cap numeric grids but
-  /// not the sweep's AQM/mix enumerations).
+  /// --grid-cap truncates this axis (numeric grids are capped, the sweep's
+  /// AQM/mix enumerations are not).
   bool cap = true;
   std::vector<AxisValue> values;       ///< quick-mode grid
   std::vector<AxisValue> full_values;  ///< --full grid (empty = use `values`)
@@ -124,8 +123,8 @@ struct CampaignSpec {
 /// exactly (field order, shortest round-trip number formatting).
 [[nodiscard]] std::string serialize_spec(const CampaignSpec& spec);
 
-/// The mode/override knobs the CLI resolves before expansion (mirrors the
-/// fig binaries' --full / --smoke / --grid-cap / --min-link-mbps handling).
+/// The mode/override knobs the CLI resolves before expansion (the shared
+/// --full / --smoke / --grid-cap / --min-link-mbps flags).
 struct ExpandOptions {
   bool full = false;
   int grid_cap = 0;             ///< truncate cap-enabled axes to this length

@@ -6,8 +6,7 @@
 //                     keys and values; nothing in the expansion depends on
 //                     anything but (spec, options).
 //   ordering        — points come out row-major over the axes as listed
-//                     (last axis fastest), index i at position i; exactly
-//                     the nesting order of the fig binaries' loops.
+//                     (last axis fastest), index i at position i.
 //   uniqueness      — point keys never collide within a campaign (a journal
 //                     replay could otherwise swap two points' results).
 //   round-trip      — parse(serialize(spec)) validates and expands to the

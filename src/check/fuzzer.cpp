@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/rng.hpp"
 
@@ -238,7 +240,9 @@ topology::TopologyConfig ScenarioFuzzer::make_topology_config(
   // A chain of 2-4 links, each with its own AQM, rate, buffer and faults.
   const int hops = static_cast<int>(rng.uniform_below(3)) + 2;
   for (int i = 0; i <= hops; ++i) {
-    cfg.nodes.push_back("n" + std::to_string(i));
+    std::string node = "n";
+    node += std::to_string(i);
+    cfg.nodes.push_back(std::move(node));
   }
   bool any_rtt_fault = false;
   for (int i = 0; i < hops; ++i) {

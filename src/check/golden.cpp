@@ -12,8 +12,8 @@ namespace pi2::check {
 
 namespace {
 
-/// Cursor over a JSON text; the grammar here is only what SweepJsonWriter
-/// and JsonlExporter emit (flat objects, string/number values, no nesting).
+/// Cursor over a JSON text; the grammar here is only what the bench --json
+/// records and JsonlExporter emit (flat objects, string/number values, no nesting).
 struct Cursor {
   const std::string& text;
   std::size_t pos = 0;

@@ -1,7 +1,7 @@
 // Golden-figure regression comparison.
 //
-// The sweep binaries emit one flat JSON record per grid point (--json, the
-// SweepJsonWriter format). A golden baseline is such a file committed under
+// The grid drivers emit one flat JSON record per grid point (--json, the
+// bench/campaign_templates.hpp record formats). A golden baseline is such a file committed under
 // tests/golden/; the comparator re-parses baseline and candidate and checks
 // them record by record:
 //

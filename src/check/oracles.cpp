@@ -88,126 +88,103 @@ class DrivenQueueView final : public net::QueueView {
   double rate_bps_ = 10e6;
 };
 
-void mix_u64(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a, one byte at a time, over v's little-endian representation.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  mix_u64(h, bits);
-}
-
-void mix_bytes(std::uint64_t& h, const std::string& s) {
-  mix_u64(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-}
-
 }  // namespace
 
 std::uint64_t result_digest(const scenario::RunResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  mix_u64(h, result.events_executed);
-  mix_u64(h, result.clamped_events);
-  mix_u64(h, result.invariant_checks);
-  mix_u64(h, result.guard_events);
-  mix_u64(h, static_cast<std::uint64_t>(result.violations.size()));
+  durable::Fnv1a h;
+  h.mix_u64(result.events_executed);
+  h.mix_u64(result.clamped_events);
+  h.mix_u64(result.invariant_checks);
+  h.mix_u64(result.guard_events);
+  h.mix_u64(static_cast<std::uint64_t>(result.violations.size()));
   const auto mix_counters = [&h](const net::BottleneckLink::Counters& c) {
-    mix_u64(h, static_cast<std::uint64_t>(c.enqueued));
-    mix_u64(h, static_cast<std::uint64_t>(c.forwarded));
-    mix_u64(h, static_cast<std::uint64_t>(c.aqm_dropped));
-    mix_u64(h, static_cast<std::uint64_t>(c.tail_dropped));
-    mix_u64(h, static_cast<std::uint64_t>(c.marked));
-    mix_u64(h, static_cast<std::uint64_t>(c.fault_dropped));
-    mix_u64(h, static_cast<std::uint64_t>(c.dequeue_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(c.enqueued));
+    h.mix_u64(static_cast<std::uint64_t>(c.forwarded));
+    h.mix_u64(static_cast<std::uint64_t>(c.aqm_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(c.tail_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(c.marked));
+    h.mix_u64(static_cast<std::uint64_t>(c.fault_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(c.dequeue_dropped));
   };
   mix_counters(result.counters);
   mix_counters(result.window_counters);
   const auto mix_band = [&h](const net::BottleneckLink::BandCounters& b) {
-    mix_u64(h, static_cast<std::uint64_t>(b.enqueued));
-    mix_u64(h, static_cast<std::uint64_t>(b.forwarded));
-    mix_u64(h, static_cast<std::uint64_t>(b.marked));
-    mix_u64(h, static_cast<std::uint64_t>(b.aqm_dropped));
-    mix_u64(h, static_cast<std::uint64_t>(b.tail_dropped));
-    mix_u64(h, static_cast<std::uint64_t>(b.dequeue_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(b.enqueued));
+    h.mix_u64(static_cast<std::uint64_t>(b.forwarded));
+    h.mix_u64(static_cast<std::uint64_t>(b.marked));
+    h.mix_u64(static_cast<std::uint64_t>(b.aqm_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(b.tail_dropped));
+    h.mix_u64(static_cast<std::uint64_t>(b.dequeue_dropped));
   };
   mix_band(result.band_l);
   mix_band(result.band_c);
   mix_band(result.window_band_l);
   mix_band(result.window_band_c);
-  mix_u64(h, static_cast<std::uint64_t>(result.fault_counters.dropped));
-  mix_u64(h, static_cast<std::uint64_t>(result.fault_counters.bleached));
-  mix_u64(h, static_cast<std::uint64_t>(result.fault_counters.reordered));
-  mix_u64(h, static_cast<std::uint64_t>(result.fault_counters.rate_changes));
-  mix_u64(h, static_cast<std::uint64_t>(result.fault_counters.rtt_changes));
-  mix_double(h, result.mean_qdelay_ms);
-  mix_double(h, result.p99_qdelay_ms);
-  mix_double(h, result.utilization);
-  mix_double(h, result.fluid.arrival_bytes);
-  mix_double(h, result.fluid.served_bytes);
-  mix_double(h, result.fluid.dropped_bytes);
-  mix_double(h, result.fluid.final_backlog_bytes);
-  mix_u64(h, result.fluid.ticks);
-  mix_u64(h, static_cast<std::uint64_t>(result.flows.size()));
+  h.mix_u64(static_cast<std::uint64_t>(result.fault_counters.dropped));
+  h.mix_u64(static_cast<std::uint64_t>(result.fault_counters.bleached));
+  h.mix_u64(static_cast<std::uint64_t>(result.fault_counters.reordered));
+  h.mix_u64(static_cast<std::uint64_t>(result.fault_counters.rate_changes));
+  h.mix_u64(static_cast<std::uint64_t>(result.fault_counters.rtt_changes));
+  h.mix_double(result.mean_qdelay_ms);
+  h.mix_double(result.p99_qdelay_ms);
+  h.mix_double(result.utilization);
+  h.mix_double(result.fluid.arrival_bytes);
+  h.mix_double(result.fluid.served_bytes);
+  h.mix_double(result.fluid.dropped_bytes);
+  h.mix_double(result.fluid.final_backlog_bytes);
+  h.mix_u64(result.fluid.ticks);
+  h.mix_u64(static_cast<std::uint64_t>(result.flows.size()));
   for (const auto& flow : result.flows) {
-    mix_u64(h, static_cast<std::uint64_t>(flow.cc));
-    mix_u64(h, flow.is_udp ? 1 : 0);
-    mix_u64(h, flow.is_fluid ? 1 : 0);
-    mix_double(h, flow.count);
-    mix_double(h, flow.goodput_mbps);
-    mix_u64(h, static_cast<std::uint64_t>(flow.retransmits));
-    mix_u64(h, static_cast<std::uint64_t>(flow.timeouts));
+    h.mix_u64(static_cast<std::uint64_t>(flow.cc));
+    h.mix_u64(flow.is_udp ? 1 : 0);
+    h.mix_u64(flow.is_fluid ? 1 : 0);
+    h.mix_double(flow.count);
+    h.mix_double(flow.goodput_mbps);
+    h.mix_u64(static_cast<std::uint64_t>(flow.retransmits));
+    h.mix_u64(static_cast<std::uint64_t>(flow.timeouts));
   }
-  mix_u64(h, static_cast<std::uint64_t>(result.links.size()));
+  h.mix_u64(static_cast<std::uint64_t>(result.links.size()));
   for (const auto& link : result.links) {
-    mix_bytes(h, link.name);
-    mix_double(h, link.mean_qdelay_ms);
-    mix_double(h, link.p99_qdelay_ms);
-    mix_double(h, link.utilization);
+    h.mix_string(link.name);
+    h.mix_double(link.mean_qdelay_ms);
+    h.mix_double(link.p99_qdelay_ms);
+    h.mix_double(link.utilization);
     mix_counters(link.counters);
     mix_counters(link.window_counters);
-    mix_u64(h, static_cast<std::uint64_t>(link.fault_counters.dropped));
-    mix_u64(h, static_cast<std::uint64_t>(link.fault_counters.bleached));
-    mix_u64(h, static_cast<std::uint64_t>(link.fault_counters.reordered));
-    mix_u64(h, static_cast<std::uint64_t>(link.fault_counters.rate_changes));
-    mix_u64(h, static_cast<std::uint64_t>(link.fault_counters.rtt_changes));
-    mix_u64(h, link.guard_events);
-    mix_u64(h, static_cast<std::uint64_t>(link.final_backlog_packets));
+    h.mix_u64(static_cast<std::uint64_t>(link.fault_counters.dropped));
+    h.mix_u64(static_cast<std::uint64_t>(link.fault_counters.bleached));
+    h.mix_u64(static_cast<std::uint64_t>(link.fault_counters.reordered));
+    h.mix_u64(static_cast<std::uint64_t>(link.fault_counters.rate_changes));
+    h.mix_u64(static_cast<std::uint64_t>(link.fault_counters.rtt_changes));
+    h.mix_u64(link.guard_events);
+    h.mix_u64(static_cast<std::uint64_t>(link.final_backlog_packets));
   }
   const stats::ResilienceReport& rr = result.resilience;
-  mix_u64(h, rr.analyzed ? 1 : 0);
-  mix_u64(h, rr.windows);
-  mix_u64(h, rr.recovered_windows);
-  mix_double(h, rr.worst_recovery_s);
-  mix_double(h, rr.mean_recovery_s);
-  mix_double(h, rr.peak_qdelay_ms);
-  mix_double(h, rr.pre_fault_mean_qdelay_ms);
-  mix_double(h, rr.post_fault_mean_qdelay_ms);
-  mix_double(h, rr.post_fault_delta_ms);
-  mix_u64(h, rr.violations_in_window);
-  mix_u64(h, rr.violations_outside);
-  mix_u64(h, static_cast<std::uint64_t>(rr.recovery_s.size()));
-  for (const double r : rr.recovery_s) mix_double(h, r);
-  return h;
+  h.mix_u64(rr.analyzed ? 1 : 0);
+  h.mix_u64(rr.windows);
+  h.mix_u64(rr.recovered_windows);
+  h.mix_double(rr.worst_recovery_s);
+  h.mix_double(rr.mean_recovery_s);
+  h.mix_double(rr.peak_qdelay_ms);
+  h.mix_double(rr.pre_fault_mean_qdelay_ms);
+  h.mix_double(rr.post_fault_mean_qdelay_ms);
+  h.mix_double(rr.post_fault_delta_ms);
+  h.mix_u64(rr.violations_in_window);
+  h.mix_u64(rr.violations_outside);
+  h.mix_u64(static_cast<std::uint64_t>(rr.recovery_s.size()));
+  for (const double r : rr.recovery_s) h.mix_double(r);
+  return h.state;
 }
 
 std::uint64_t topology_result_digest(const topology::TopologyResult& result) {
-  std::uint64_t h =
-      result_digest(topology::to_run_result(topology::TopologyResult{result}));
+  durable::Fnv1a h{
+      result_digest(topology::to_run_result(topology::TopologyResult{result}))};
   // The flattening keeps every per-link slice but drops the flow->route
   // assignment; fold it back in so re-routed flows change the fingerprint.
   for (const std::int32_t route : result.flow_route) {
-    mix_u64(h, static_cast<std::uint64_t>(route));
+    h.mix_u64(static_cast<std::uint64_t>(route));
   }
-  return h;
+  return h.state;
 }
 
 void check_conservation(const scenario::DumbbellConfig& config,

@@ -20,28 +20,6 @@ constexpr const char* kHeaderKind = "header";
 constexpr const char* kShardKind = "shard";
 constexpr const char* kInterruptedKind = "interrupted";
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 bool unescape(const std::string& s, std::string& out) {
   out.clear();
   out.reserve(s.size());
@@ -132,6 +110,28 @@ std::string hex64(std::uint64_t value) {
 
 }  // namespace
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string encode_shard_info(const ShardInfo& shard) {
   char buf[128];
   std::snprintf(buf, sizeof buf,
@@ -166,11 +166,11 @@ bool parse_shard_info(const std::string& payload, ShardInfo& shard) {
 
 std::string encode_record(const JournalRecord& record) {
   std::string line = "{\"kind\":\"";
-  line += escape(record.kind);
+  line += json_escape(record.kind);
   line += "\",\"key\":\"";
   line += hex64(record.key);
   line += "\",\"payload\":\"";
-  line += escape(record.payload);
+  line += json_escape(record.payload);
   line += "\",\"crc\":\"";
   line += hex64(record_crc(record.kind, record.key, record.payload));
   line += "\"}\n";

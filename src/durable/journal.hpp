@@ -155,6 +155,12 @@ class JournalWriter {
   Status status_;
 };
 
+/// Escapes `s` for a JSON string literal: quote, backslash, \n and \t get
+/// their short forms, other control bytes \u00XX; everything else is copied.
+/// The one escaper behind journals, campaign specs, manifests and the
+/// bench --json records.
+std::string json_escape(const std::string& s);
+
 /// FNV-1a 64-bit streaming hasher — the digest behind journal keys and
 /// record crcs. Deliberately tiny and dependency-free.
 struct Fnv1a {

@@ -1,9 +1,9 @@
 #include "telemetry/run_manifest.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "durable/atomic_file.hpp"
+#include "durable/journal.hpp"
 
 namespace pi2::telemetry {
 
@@ -14,46 +14,6 @@ std::string format_double(double v) {
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// FNV-1a 64-bit over raw bytes.
-struct Fnv1a {
-  std::uint64_t state = 0xcbf29ce484222325ull;
-  void mix(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      state ^= bytes[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix(&v, sizeof v); }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix_u64(bits);
-  }
-};
 
 }  // namespace
 
@@ -78,15 +38,16 @@ void RunManifest::capture_final(const MetricsRegistry& registry) {
 
 std::string RunManifest::to_json() const {
   std::string out = "{\n";
-  out += "  \"run_id\": \"" + json_escape(run_id) + "\",\n";
+  out += "  \"run_id\": \"" + durable::json_escape(run_id) + "\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"fault_digest\": \"" + json_escape(fault_digest) + "\",\n";
-  out += "  \"build_flags\": \"" + json_escape(build_flags) + "\",\n";
+  out += "  \"fault_digest\": \"" + durable::json_escape(fault_digest) + "\",\n";
+  out += "  \"build_flags\": \"" + durable::json_escape(build_flags) + "\",\n";
   out += "  \"config\": {";
   bool first = true;
   for (const auto& [key, value] : config) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(key) + "\": \"" + json_escape(value) + "\"";
+    out += "    \"" + durable::json_escape(key) + "\": \"" +
+           durable::json_escape(value) + "\"";
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -94,7 +55,7 @@ std::string RunManifest::to_json() const {
   first = true;
   for (const auto& [key, value] : final_metrics) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(key) + "\": " + format_double(value);
+    out += "    \"" + durable::json_escape(key) + "\": " + format_double(value);
     first = false;
   }
   out += first ? "}\n" : "\n  }\n";
@@ -107,7 +68,7 @@ durable::Status RunManifest::write_json(const std::string& path) const {
 }
 
 std::string fault_schedule_digest(const faults::FaultSchedule& schedule) {
-  Fnv1a h;
+  durable::Fnv1a h;
   h.mix_u64(schedule.events.size());
   for (const auto& e : schedule.events) {
     h.mix_u64(static_cast<std::uint64_t>(e.kind));

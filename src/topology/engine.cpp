@@ -342,11 +342,10 @@ TopologyResult run_topology(const TopologyConfig& config) {
     // full-rate-equivalent busy time of everything the link carried
     // ((pkt + served)·8/C per tick); `credited` is what the fluid tier has
     // already added on top of the measured packet serialization time.
-    rt.fluid->set_tick_sink([&rt, &sim, dt_s, buffer_packets,
+    rt.fluid->set_tick_sink([&rt, &sim, &link, dt_s, buffer_packets,
                              target_busy_s = 0.0, credited_busy_s = 0.0,
                              last_packet_busy_s =
                                  0.0](double aggregate_bps) mutable {
-      net::BottleneckLink& link = *rt.link;
       const double rate_bps = link.link_rate_bps();
       const double cap_bytes = rate_bps * dt_s / 8.0;
       const double pkt_bytes = std::exchange(rt.pkt_bytes_this_tick, 0.0);

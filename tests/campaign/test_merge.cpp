@@ -160,7 +160,7 @@ TEST_F(MergeShards, MissingFileIsIoError) {
 }
 
 TEST_F(MergeShards, JournalWithoutShardRecordIsForeign) {
-  // A fig binary's plain resume journal: right digest, no shard claim.
+  // A plain resume journal: right digest, no shard claim.
   const std::string a = shard_path("no_shard_record.journal");
   {
     JournalWriter writer{a, x_.digest, false};

@@ -1,5 +1,5 @@
 // Campaign spec language: parse/validate/expand/serialize must round-trip,
-// enumerate row-major like the fig binaries' loops, and reject malformed
+// enumerate row-major (last axis fastest), and reject malformed
 // specs with one exact message each (TopologyConfig::validate house style).
 // The property sweep runs the check-layer oracles over the committed
 // campaigns/*.json files and a fuzz batch of generated specs.
@@ -168,7 +168,7 @@ TEST(CampaignSpec, GridCapTruncatesOnlyCapEnabledAxes) {
   ExpandOptions smoke;
   smoke.grid_cap = 2;
   const Expansion x = expand(sweep_spec(), smoke);
-  // aqm/cc_mix carry cap:false (the fig binaries never cap the enumerations),
+  // aqm/cc_mix carry cap:false (--smoke never caps the enumerations),
   // rate/rtt truncate to their first two values.
   EXPECT_EQ(x.points.size(), 2u * 2u * 2u * 2u);
   ASSERT_EQ(x.axes.size(), 4u);
@@ -480,7 +480,7 @@ TEST(CampaignParse, MinimalSpecParsesWithDefaults) {
                        spec),
             "");
   EXPECT_EQ(spec.validate(), "");
-  EXPECT_EQ(spec.seed, 1u) << "seed defaults to 1 like the fig binaries";
+  EXPECT_EQ(spec.seed, 1u) << "seed defaults to 1 like --seed";
   EXPECT_TRUE(spec.axes[0].cap) << "cap defaults to true";
   EXPECT_EQ(spec.link_mbps, 0.0) << "0 = template default";
 }
@@ -555,8 +555,7 @@ TEST(CampaignProperties, GeneratedDigestsAreDistinct) {
 
 TEST(CampaignProperties, HoldForCommittedCampaignFiles) {
   const char* files[] = {
-      "fig15.json",       "fig16.json",        "fig17.json",
-      "fig18.json",       "fig_overload.json", "fig_parking_lot.json",
+      "fig15_18.json",    "fig_overload.json",   "fig_parking_lot.json",
       "fig_rtt_mix.json", "fig_resilience.json",
   };
   ExpandOptions smoke;

@@ -1,142 +1,129 @@
-// Serial-vs-parallel equivalence of the experiment sweep: the fig15 quick
-// grid run with --jobs 1 and --jobs 4 must yield identical RunResult
-// streams — same order, bitwise-equal statistics — and two parallel
-// executions with the same seed must match each other. Run durations are
-// shortened via the Options overrides so the full 36-point grid stays
-// test-sized; the simulation code paths are exactly the figures'.
+// Serial-vs-parallel equivalence of the Figures 15-18 quick grid (3x3 links
+// x RTTs, both AQMs, both mixes = 36 points) through the real grid driver,
+// pi2_campaign on campaigns/fig15_18.json. Run durations are shortened with
+// --duration-s/--stats-start-s so the whole grid stays test-sized; the
+// simulation code paths are exactly the figures'.
+//
+// The run journal carries every RunResult statistic of every point as hex
+// IEEE bits, so comparing two journals byte for byte is a bitwise
+// comparison of the results: parallelism must not perturb a single bit.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <sys/wait.h>
 
-#include "sweep.hpp"
-
-namespace pi2::bench {
 namespace {
 
-/// Everything observable about one sweep point, compared bitwise. Doubles
-/// are compared with exact equality on purpose: parallelism must not
-/// perturb a single bit of any statistic.
-struct PointDigest {
-  scenario::AqmType aqm;
-  MixKind mix;
-  double link_mbps;
-  double rtt_ms;
-  std::uint64_t seed;
-  double mean_qdelay_ms;
-  double p99_qdelay_ms;
-  double utilization;
-  double signal_rate;
-  std::uint64_t events_executed;
-  std::uint64_t clamped_events;
-  std::int64_t enqueued, forwarded, aqm_dropped, tail_dropped, marked;
-  std::vector<double> flow_goodputs;
-  std::vector<double> qdelay_series;
+namespace fs = std::filesystem;
 
-  bool operator==(const PointDigest&) const = default;
+std::string read_file(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::size_t count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Outputs of one pi2_campaign run of the grid.
+struct GridRun {
+  std::string journal;
+  std::string json;
+  fs::path telemetry_dir;
 };
 
-PointDigest digest(const SweepPoint& p) {
-  PointDigest d{};
-  d.aqm = p.aqm;
-  d.mix = p.mix;
-  d.link_mbps = p.link_mbps;
-  d.rtt_ms = p.rtt_ms;
-  d.seed = p.seed;
-  d.mean_qdelay_ms = p.result.mean_qdelay_ms;
-  d.p99_qdelay_ms = p.result.p99_qdelay_ms;
-  d.utilization = p.result.utilization;
-  d.signal_rate = p.result.observed_signal_rate();
-  d.events_executed = p.result.events_executed;
-  d.clamped_events = p.result.clamped_events;
-  d.enqueued = p.result.window_counters.enqueued;
-  d.forwarded = p.result.window_counters.forwarded;
-  d.aqm_dropped = p.result.window_counters.aqm_dropped;
-  d.tail_dropped = p.result.window_counters.tail_dropped;
-  d.marked = p.result.window_counters.marked;
-  for (const auto& f : p.result.flows) d.flow_goodputs.push_back(f.goodput_mbps);
-  for (const auto& s : p.result.qdelay_ms_series.points()) {
-    d.qdelay_series.push_back(s.value);
+/// A scratch directory of its own for the current test; ctest runs the
+/// cases of this suite as concurrent processes.
+fs::path work_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const fs::path dir = fs::path{::testing::TempDir()} /
+                       (std::string{"pi2_sweep_eq_"} + info->name());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+GridRun run_grid(const fs::path& dir, const std::string& tag, unsigned jobs,
+                 double duration_s, double stats_start_s,
+                 bool telemetry = false) {
+  const fs::path base = dir / tag;
+  GridRun run;
+  std::ostringstream cmd;
+  cmd << '"' << PI2_CAMPAIGN_BIN << "\" --spec \"" << PI2_FIG15_18_SPEC
+      << "\" --seed 1 --jobs " << jobs << " --duration-s " << duration_s
+      << " --stats-start-s " << stats_start_s << " --json \""
+      << base.string() << ".json\" --journal \"" << base.string()
+      << ".journal\"";
+  if (telemetry) {
+    run.telemetry_dir = dir / ("tele_" + tag);
+    cmd << " --telemetry \"" << run.telemetry_dir.string() << '"';
   }
-  return d;
-}
-
-Options test_options(unsigned jobs) {
-  Options opts;
-  opts.seed = 1;
-  opts.jobs = jobs;
-  // Quick grid (3x3 links x RTTs, both AQMs, both mixes = 36 points) with
-  // shortened runs so the whole sweep stays test-sized.
-  opts.duration_s_override = 5.0;
-  opts.stats_start_s_override = 2.0;
-  return opts;
-}
-
-std::vector<PointDigest> sweep_digests(unsigned jobs) {
-  std::vector<PointDigest> digests;
-  run_sweep(test_options(jobs),
-            [&](const SweepPoint& p) { digests.push_back(digest(p)); });
-  return digests;
+  cmd << " > \"" << base.string() << ".stdout\"";
+  const int status = std::system(cmd.str().c_str());
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << cmd.str() << " -> status " << status;
+  run.journal = read_file(base.string() + ".journal");
+  run.json = read_file(base.string() + ".json");
+  return run;
 }
 
 TEST(SweepEquivalence, Fig15QuickGridJobs1VersusJobs4) {
-  const auto serial = sweep_digests(1);
-  const auto parallel = sweep_digests(4);
-  ASSERT_EQ(serial.size(), 36u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "grid point " << i << " diverged";
-  }
+  const auto dir = work_dir();
+  const auto serial = run_grid(dir, "j1", 1, 5.0, 2.0);
+  const auto parallel = run_grid(dir, "j4", 4, 5.0, 2.0);
+  ASSERT_EQ(count(serial.journal, "\"kind\":\"point\""), 36u);
+  EXPECT_EQ(serial.journal, parallel.journal)
+      << "--jobs 1 and --jobs 4 journals differ";
+  EXPECT_EQ(serial.json, parallel.json);
+  fs::remove_all(dir);
 }
 
 TEST(SweepEquivalence, ParallelRunsAreDeterministic) {
-  const auto first = sweep_digests(4);
-  const auto second = sweep_digests(4);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], second[i]) << "grid point " << i << " diverged";
-  }
+  const auto dir = work_dir();
+  const auto first = run_grid(dir, "a", 4, 5.0, 2.0);
+  const auto second = run_grid(dir, "b", 4, 5.0, 2.0);
+  ASSERT_EQ(count(first.journal, "\"kind\":\"point\""), 36u);
+  EXPECT_EQ(first.journal, second.journal) << "two --jobs 4 journals differ";
+  fs::remove_all(dir);
 }
 
 TEST(SweepEquivalence, NoClampedSchedulesAcrossTheGrid) {
-  for (const auto& d : sweep_digests(2)) {
-    EXPECT_EQ(d.clamped_events, 0u);
-  }
+  const auto dir = work_dir();
+  const auto run = run_grid(dir, "j2", 2, 5.0, 2.0);
+  EXPECT_EQ(count(run.json, "\"status\": \"ok\""), 36u);
+  EXPECT_EQ(count(run.json, "\"clamped_events\": 0,"), 36u)
+      << "some grid point clamped a scheduled event";
+  fs::remove_all(dir);
 }
 
-/// Every artifact file in `dir`, keyed by filename, with its full contents.
-std::map<std::string, std::string> artifact_bytes(const std::string& dir) {
+/// Every artifact file under `dir`, keyed by relative path, with its bytes.
+std::map<std::string, std::string> artifact_bytes(const fs::path& dir) {
   std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in{entry.path(), std::ios::binary};
-    std::ostringstream out;
-    out << in.rdbuf();
-    files[entry.path().filename().string()] = out.str();
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[fs::relative(entry.path(), dir).string()] = read_file(entry.path());
   }
   return files;
 }
 
 TEST(SweepEquivalence, TelemetryArtifactsAreByteIdenticalAcrossJobs) {
-  const std::string dir1 = ::testing::TempDir() + "pi2_sweep_tel_j1";
-  const std::string dir2 = ::testing::TempDir() + "pi2_sweep_tel_j2";
-  std::filesystem::remove_all(dir1);
-  std::filesystem::remove_all(dir2);
-  for (const auto& [jobs, dir] : {std::pair{1u, dir1}, std::pair{2u, dir2}}) {
-    Options opts = test_options(jobs);
-    opts.duration_s_override = 2.0;
-    opts.stats_start_s_override = 0.5;
-    opts.telemetry_dir = dir;
-    run_sweep(opts, [](const SweepPoint& p) {
-      EXPECT_FALSE(p.manifest_path.empty());
-    });
-  }
-  const auto first = artifact_bytes(dir1);
-  const auto second = artifact_bytes(dir2);
+  const auto dir = work_dir();
+  const auto serial = run_grid(dir, "j1", 1, 2.0, 0.5, true);
+  const auto parallel = run_grid(dir, "j2", 2, 2.0, 0.5, true);
+  const auto first = artifact_bytes(serial.telemetry_dir);
+  const auto second = artifact_bytes(parallel.telemetry_dir);
   // 36 points x (jsonl + prom + manifest) + the sweep-level aggregate.
   ASSERT_EQ(first.size(), 36u * 3u + 1u);
   ASSERT_EQ(first.size(), second.size());
@@ -145,9 +132,7 @@ TEST(SweepEquivalence, TelemetryArtifactsAreByteIdenticalAcrossJobs) {
     EXPECT_EQ(bytes, second.at(name)) << name << " diverged across --jobs";
     EXPECT_FALSE(bytes.empty()) << name;
   }
-  std::filesystem::remove_all(dir1);
-  std::filesystem::remove_all(dir2);
+  fs::remove_all(dir);
 }
 
 }  // namespace
-}  // namespace pi2::bench

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fuzzer.hpp"
@@ -17,7 +18,9 @@ namespace {
 TopologyConfig parking_lot(int hops) {
   TopologyConfig cfg;
   for (int i = 0; i <= hops; ++i) {
-    cfg.nodes.push_back("n" + std::to_string(i));
+    std::string node = "n";
+    node += std::to_string(i);
+    cfg.nodes.push_back(std::move(node));
   }
   for (int i = 0; i < hops; ++i) {
     LinkSpec link;

@@ -60,7 +60,7 @@ TEST(TopologyValidate, RejectsEmptyNodeName) {
 
 TEST(TopologyValidate, RejectsDuplicateNode) {
   auto cfg = valid_chain();
-  cfg.nodes[2] = "a";
+  cfg.nodes[2] = cfg.nodes[0];
   EXPECT_EQ(cfg.validate(), "nodes[2] must be unique (got \"a\")");
 }
 
@@ -86,15 +86,15 @@ TEST(TopologyValidate, RejectsUnknownToNode) {
 
 TEST(TopologyValidate, RejectsSelfLoop) {
   auto cfg = valid_chain();
-  cfg.links[0].to = "a";
+  cfg.links[0].to = cfg.links[0].from;
   EXPECT_EQ(cfg.validate(),
             "links[0].to must differ from .from (got \"a\")");
 }
 
 TEST(TopologyValidate, RejectsDuplicateDirectedPair) {
   auto cfg = valid_chain();
-  cfg.links[1].from = "a";
-  cfg.links[1].to = "b";
+  cfg.links[1].from = cfg.links[0].from;
+  cfg.links[1].to = cfg.links[0].to;
   // The tcp/udp routes still resolve a->b->c? No — b->c is gone, so break
   // the routes too would mask the earlier check; the link check fires first.
   EXPECT_EQ(cfg.validate(),
@@ -103,9 +103,9 @@ TEST(TopologyValidate, RejectsDuplicateDirectedPair) {
 
 TEST(TopologyValidate, RejectsDuplicateLinkName) {
   auto cfg = valid_chain();
-  cfg.links[0].name = "x";
-  cfg.links[1].name = "x";
-  EXPECT_EQ(cfg.validate(), "links[1].name must be unique (got \"x\")");
+  cfg.links[0].name = "dup";
+  cfg.links[1].name = cfg.links[0].name;
+  EXPECT_EQ(cfg.validate(), "links[1].name must be unique (got \"dup\")");
 }
 
 TEST(TopologyValidate, RejectsNonFiniteLinkRate) {
