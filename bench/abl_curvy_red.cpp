@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     for (const double link : {12.0, 40.0, 120.0}) {
       for (const double rtt : {10.0, 50.0}) {
         auto cfg = bench::mix_config(aqm, bench::MixKind::kCubicVsDctcp, link, rtt,
-                                     opts);
+                                     opts, 0, 0);
         const auto r = run_dumbbell(cfg);
         const double cubic = r.mean_goodput_mbps(tcp::CcType::kCubic);
         const double dctcp = r.mean_goodput_mbps(tcp::CcType::kDctcp);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
               "ratio(c/d)", "|log2 ratio|");
   for (double k : {1.0, 1.19, 2.0, 4.0}) {
     auto cfg = bench::mix_config(AqmType::kCoupledPi2, bench::MixKind::kCubicVsDctcp,
-                                 40.0, 10.0, opts);
+                                 40.0, 10.0, opts, 0, 0);
     cfg.aqm.coupling_k = k;
     const auto r = run_dumbbell(cfg);
     const double cubic = r.mean_goodput_mbps(tcp::CcType::kCubic);

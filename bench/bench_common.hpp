@@ -1,12 +1,12 @@
-// Shared plumbing for the figure-reproduction binaries: CLI flags, table
-// formatting, and the link-rate x RTT sweep grids of Figures 15-18.
+// Shared plumbing for the figure-reproduction binaries: the strict CLI
+// parser and the flags every binary shares, the table header, and the
+// Cubic-vs-X flow mixes of Figures 15-20.
 //
-// Every binary prints the same rows/series the paper reports. By default a
-// reduced grid / shortened durations keep the whole suite runnable quickly;
-// pass --full for the paper-scale parameters. Sweep-based binaries fan their
-// grid points out over --jobs worker threads (the printed tables stay
-// byte-identical to a serial run) and can emit machine-readable per-point
-// records with --json.
+// Every binary prints the same rows/series the paper reports. By default
+// shortened durations keep the whole suite runnable quickly; pass --full for
+// the paper-scale parameters. Grid figures run through pi2_campaign, which
+// adds its own flags (--jobs, --resume, --telemetry, ...) through the
+// parse_options hook.
 #pragma once
 
 #include <charconv>
@@ -16,70 +16,22 @@
 #include <functional>
 #include <string>
 #include <system_error>
-#include <vector>
 
 #include "scenario/dumbbell.hpp"
 
 namespace pi2::bench {
 
 struct Options {
-  /// argv[0], captured so the default journal name can be derived from the
-  /// binary when --json is unset.
-  std::string argv0;
   bool full = false;
   std::uint64_t seed = 1;
-  /// Worker threads for sweep-based binaries. 0 = hardware_concurrency.
-  /// Output is identical for every value; only wall-clock changes.
-  unsigned jobs = 0;
-  /// If non-empty, sweep-based binaries write one JSON record per grid
-  /// point to this path (in addition to the printed table).
+  /// If non-empty, binaries that emit machine-readable records write them
+  /// to this path (in addition to the printed table).
   std::string json_path;
+  /// --smoke: tiny durations for CI runs.
+  bool smoke = false;
   /// Overrides for smoke/CI runs (0 = use the quick/full mode defaults).
   double duration_s_override = 0;
   double stats_start_s_override = 0;
-  /// Caps the number of entries per grid axis (0 = no cap); --smoke uses
-  /// this to exercise the full sweep machinery in seconds.
-  int grid_cap = 0;
-  /// Per-point wall-clock watchdog deadline in seconds (0 = no watchdog).
-  /// A point that exceeds it is retried once, then reported `timeout`.
-  double deadline_s = 0;
-  /// Extra attempts for a failed or stuck point.
-  int retries = 1;
-  /// Base delay (ms) before the first retry of a point; doubles per further
-  /// attempt, with deterministic seed-derived jitter (0 = retry immediately).
-  long long backoff_ms = 0;
-  /// Resume from the run journal: completed grid points found in it are
-  /// replayed (byte-identical output) instead of re-simulated. Requires the
-  /// same grid/seed/duration flags as the interrupted run.
-  bool resume = false;
-  /// Journal path override. Empty = derived from --json (`<json>.journal`)
-  /// or `<argv0 basename>.journal` when --json is unset.
-  std::string journal_path;
-  /// Test hooks for the partial-failure path: force the given grid point to
-  /// throw / to stall for `hang_s` wall seconds (-1 = disabled). With a
-  /// deadline set, a hung point exercises the watchdog + retry machinery.
-  long long inject_fail = -1;
-  long long inject_hang = -1;
-  double hang_s = 2.0;
-  /// If non-empty, every grid point writes a telemetry bundle (JSONL stream,
-  /// Prometheus snapshot, RunManifest) into this directory, plus a
-  /// sweep-wide aggregated snapshot. Byte-identical at any --jobs value.
-  std::string telemetry_dir;
-  /// Telemetry sampling cadence in simulated seconds (0 = 100 ms default).
-  double telemetry_interval_s = 0;
-  /// Background load added to every grid point's mix, as either N extra
-  /// packet Reno flows or a fluid spec of N modelled Reno flows. The two are
-  /// the same scenario rendered by different engine tiers — the golden
-  /// fluid-vs-packet agreement test runs one figure both ways.
-  int packet_background = 0;
-  int fluid_background = 0;
-  /// Drop grid links below this rate. The fluid-vs-packet agreement test
-  /// uses it to stay inside the mean-field model's validity envelope: the
-  /// Appendix-B window law W = sqrt(2/p) is the small-p approximation, so at
-  /// links where the equilibrium marking probability is ~0.1+ (4 Mb/s on
-  /// this grid) real timeout-dominated TCP and the fluid tier diverge by
-  /// construction.
-  double min_link_mbps = 0;
 };
 
 /// Exit code for malformed command lines (unknown flag, missing value, a
@@ -119,9 +71,21 @@ T flag_number(int argc, char** argv, int& i) {
 /// took argv[i] (advancing i past any value), false to hand it on.
 using FlagHook = std::function<bool(const std::string& arg, int& i)>;
 
+/// The shared flags' help text; pi2_campaign prints it beside its own.
+inline constexpr const char* kSharedFlagHelp =
+    "  --full      paper-scale parameters and durations (slower)\n"
+    "  --seed N    RNG seed (default 1)\n"
+    "  --smoke     tiny durations (CI smoke testing)\n"
+    "  --duration-s S / --stats-start-s S\n"
+    "              override the run duration and stats-window start (later\n"
+    "              flags win, so they can refine --smoke; 0 = keep the mode\n"
+    "              default)\n"
+    "  --json PATH also write machine-readable records to PATH (binaries\n"
+    "              that emit them)\n"
+    "An unknown flag, a missing value or a malformed number exits 17.\n";
+
 inline Options parse_options(int argc, char** argv, const FlagHook& hook = {}) {
   Options opts;
-  if (argc > 0 && argv[0] != nullptr) opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (hook && hook(arg, i)) continue;
@@ -129,87 +93,20 @@ inline Options parse_options(int argc, char** argv, const FlagHook& hook = {}) {
       opts.full = true;
     } else if (arg == "--seed") {
       opts.seed = flag_number<std::uint64_t>(argc, argv, i);
-    } else if (arg == "--jobs") {
-      opts.jobs = flag_number<unsigned>(argc, argv, i);
     } else if (arg == "--json") {
       opts.json_path = flag_value(argc, argv, i);
     } else if (arg == "--smoke") {
+      opts.smoke = true;
       opts.duration_s_override = 4.0;
       opts.stats_start_s_override = 1.0;
-      opts.grid_cap = 2;
     } else if (arg == "--duration-s") {
       opts.duration_s_override = flag_number<double>(argc, argv, i);
     } else if (arg == "--stats-start-s") {
       opts.stats_start_s_override = flag_number<double>(argc, argv, i);
-    } else if (arg == "--grid-cap") {
-      opts.grid_cap = flag_number<int>(argc, argv, i);
-    } else if (arg == "--min-link-mbps") {
-      opts.min_link_mbps = flag_number<double>(argc, argv, i);
-    } else if (arg == "--deadline-s") {
-      opts.deadline_s = flag_number<double>(argc, argv, i);
-    } else if (arg == "--retries") {
-      opts.retries = flag_number<int>(argc, argv, i);
-    } else if (arg == "--backoff-ms") {
-      opts.backoff_ms = flag_number<long long>(argc, argv, i);
-    } else if (arg == "--resume") {
-      opts.resume = true;
-    } else if (arg == "--journal") {
-      opts.journal_path = flag_value(argc, argv, i);
-    } else if (arg == "--inject-fail") {
-      opts.inject_fail = flag_number<long long>(argc, argv, i);
-    } else if (arg == "--inject-hang") {
-      opts.inject_hang = flag_number<long long>(argc, argv, i);
-    } else if (arg == "--hang-s") {
-      opts.hang_s = flag_number<double>(argc, argv, i);
-    } else if (arg == "--telemetry") {
-      opts.telemetry_dir = flag_value(argc, argv, i);
-    } else if (arg == "--telemetry-interval") {
-      opts.telemetry_interval_s = flag_number<double>(argc, argv, i);
-    } else if (arg == "--packet-background") {
-      opts.packet_background = flag_number<int>(argc, argv, i);
-    } else if (arg == "--fluid-background") {
-      opts.fluid_background = flag_number<int>(argc, argv, i);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--full] [--seed N] [--jobs N] [--json PATH] [--smoke]\n"
-          "          [--deadline-s S] [--retries N] [--backoff-ms MS]\n"
-          "          [--resume] [--journal PATH]\n"
-          "  --full      paper-scale grid and durations (slower)\n"
-          "  --seed N    RNG seed (default 1)\n"
-          "  --jobs N    worker threads for sweep grids (default or 0: all\n"
-          "              cores; tables are byte-identical for every N)\n"
-          "  --json PATH also write per-point JSON records to PATH\n"
-          "  --smoke     tiny grid and durations (CI race/smoke testing)\n"
-          "  --duration-s S / --stats-start-s S / --grid-cap N\n"
-          "              override the run duration, stats-window start and\n"
-          "              per-axis grid size (later flags win, so they can\n"
-          "              refine --smoke; 0 = keep the mode default)\n"
-          "  --min-link-mbps X  drop grid links below X Mb/s (fluid-tier\n"
-          "              agreement runs stay in the mean-field validity\n"
-          "              envelope this way)\n"
-          "  --deadline-s S  per-point wall-clock watchdog; a point past the\n"
-          "              deadline is retried once, then reported `timeout`\n"
-          "  --retries N retry budget per failed/stuck point (default 1)\n"
-          "  --backoff-ms MS  base retry backoff, doubling per attempt with\n"
-          "              deterministic seed-derived jitter (default 0)\n"
-          "  --resume    replay completed points from the run journal and\n"
-          "              only re-simulate the missing ones; the final output\n"
-          "              is byte-identical to an uninterrupted run\n"
-          "  --journal PATH  journal location (default: <json>.journal, or\n"
-          "              <binary>.journal without --json)\n"
-          "  --inject-fail I / --inject-hang I / --hang-s S\n"
-          "              fault-injection test hooks: force point I to throw,\n"
-          "              or to stall S wall seconds (default 2)\n"
-          "  --telemetry DIR  write per-point telemetry artifacts (JSONL,\n"
-          "              Prometheus snapshot, run manifest) into DIR\n"
-          "  --telemetry-interval S  telemetry sampling cadence in simulated\n"
-          "              seconds (default 0.1)\n"
-          "  --packet-background N / --fluid-background N\n"
-          "              add N background Reno flows to every grid point, as\n"
-          "              real packet flows or as one fluid spec of N modelled\n"
-          "              flows (the same load at different engine tiers)\n"
-          "An unknown flag, a missing value or a malformed number exits 17.\n",
-          argv[0]);
+      std::printf("usage: %s [--full] [--seed N] [--smoke] [--duration-s S]\n"
+                  "          [--stats-start-s S] [--json PATH]\n%s",
+                  argv[0], kSharedFlagHelp);
       std::exit(0);
     } else {
       flag_error(argv[0], arg, "unknown flag");
@@ -222,31 +119,6 @@ inline void print_header(const char* figure, const char* description,
                          const Options& opts) {
   std::printf("# %s — %s\n", figure, description);
   std::printf("# mode: %s\n", opts.full ? "full (paper-scale)" : "quick (reduced)");
-}
-
-namespace detail {
-inline std::vector<double> capped(std::vector<double> grid, int cap) {
-  if (cap > 0 && static_cast<std::size_t>(cap) < grid.size()) {
-    grid.resize(static_cast<std::size_t>(cap));
-  }
-  return grid;
-}
-}  // namespace detail
-
-/// The evaluation grid of Figures 15-18 (link Mb/s x RTT ms).
-inline std::vector<double> link_grid(const Options& opts) {
-  std::vector<double> grid = opts.full
-                                 ? std::vector<double>{4, 12, 40, 120, 200}
-                                 : std::vector<double>{4, 40, 120};
-  if (opts.min_link_mbps > 0) {
-    std::erase_if(grid, [&](double mbps) { return mbps < opts.min_link_mbps; });
-  }
-  return detail::capped(std::move(grid), opts.grid_cap);
-}
-
-inline std::vector<double> rtt_grid(const Options& opts) {
-  if (opts.full) return detail::capped({5, 10, 20, 50, 100}, opts.grid_cap);
-  return detail::capped({5, 20, 100}, opts.grid_cap);
 }
 
 /// Durations for the steady-state runs.
@@ -271,10 +143,15 @@ inline const char* to_string(MixKind kind) {
   return kind == MixKind::kCubicVsDctcp ? "cubic/dctcp" : "cubic/ecn-cubic";
 }
 
+/// `packet_background` / `fluid_background` add that many Reno flows to
+/// the mix as real packet flows or as one fluid spec (the same load at
+/// different engine tiers; 0 = none).
 inline scenario::DumbbellConfig mix_config(scenario::AqmType aqm, MixKind kind,
                                            double link_mbps, double rtt_ms,
-                                           const Options& opts, int n_cubic = 1,
-                                           int n_other = 1) {
+                                           const Options& opts,
+                                           int packet_background,
+                                           int fluid_background,
+                                           int n_cubic = 1, int n_other = 1) {
   scenario::DumbbellConfig cfg;
   cfg.link_rate_bps = link_mbps * 1e6;
   cfg.duration = run_duration(opts);
@@ -301,17 +178,17 @@ inline scenario::DumbbellConfig mix_config(scenario::AqmType aqm, MixKind kind,
   }
   // Background load, at either engine tier. Reno in both renderings so the
   // per-cc foreground means (cubic_mbps / other_mbps) stay comparable.
-  if (opts.packet_background > 0) {
+  if (packet_background > 0) {
     scenario::TcpFlowSpec bg;
     bg.cc = tcp::CcType::kReno;
-    bg.count = opts.packet_background;
+    bg.count = packet_background;
     bg.base_rtt = pi2::sim::from_millis(rtt_ms);
     cfg.tcp_flows.push_back(bg);
   }
-  if (opts.fluid_background > 0) {
+  if (fluid_background > 0) {
     scenario::FluidFlowSpec bg;
     bg.cc = tcp::CcType::kReno;
-    bg.count = opts.fluid_background;
+    bg.count = fluid_background;
     bg.base_rtt = pi2::sim::from_millis(rtt_ms);
     cfg.fluid_flows.push_back(bg);
   }

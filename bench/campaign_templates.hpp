@@ -1,7 +1,7 @@
 // Shared per-point builders for every pi2_campaign template (dumbbell
-// sweep, overload, parking lot, RTT mix, resilience): scenario config
-// construction, the printed table row, the --json record, the health
-// predicates and each figure's closing `# expectation:` footer.
+// sweep, overload, parking lot, RTT mix, resilience, capacity-step
+// response): scenario config construction, the printed table row, the
+// --json record, the health predicates and each figure's closing footer.
 // bench/pi2_campaign dispatches a spec's points onto these; perfbench
 // replays the resilience ones, so its records match the driver's bytes.
 //
@@ -17,12 +17,33 @@
 #include <string>
 #include <utility>
 
+#include "bench_common.hpp"
+#include "durable/atomic_file.hpp"
+#include "durable/journal.hpp"
 #include "faults/fault_presets.hpp"
+#include "runner/parallel_runner.hpp"
 #include "stats/percentile.hpp"
-#include "sweep.hpp"
+#include "stats/recovery.hpp"
 #include "topology/topology.hpp"
 
 namespace pi2::bench {
+
+inline const char* aqm_label(scenario::AqmType aqm) {
+  return aqm == scenario::AqmType::kPie ? "PIE" : "PI2(coupled)";
+}
+
+/// Escapes error messages and paths embedded in JSON records.
+using durable::json_escape;
+
+namespace detail {
+/// Per-point telemetry run id: the artifacts of point i are named
+/// `<dir>/point_<i>.*`, so a resumed or merged run can name them again.
+inline std::string point_run_id(std::size_t i) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "point_%04zu", i);
+  return buf;
+}
+}  // namespace detail
 
 /// Maps a campaign-spec axis value onto an AqmType. Names follow
 /// scenario::to_string(AqmType); callers pass validated spec values.
@@ -763,6 +784,158 @@ struct ResilienceGate {
       }
     }
     return ok;
+  }
+};
+
+// ---- response (section 4.4: 4x capacity step, PI2 vs PIE) ----------------
+
+/// The step and settle timing of a response run of `total_s` seconds: the
+/// link drops to a quarter of its rate at T/3 and recovers at 2T/3; a run
+/// has "re-converged" once the queue delay stays within 2x the 20 ms target
+/// for the hold time.
+struct ResponseWindow {
+  double total_s = 0;
+  double down_s = 0;
+  double up_s = 0;
+  double hold_s = 0;
+  double band_ms = 0;
+};
+
+inline ResponseWindow response_window(double total_s) {
+  ResponseWindow w;
+  w.total_s = total_s;
+  w.down_s = total_s / 3.0;
+  w.up_s = 2.0 * total_s / 3.0;
+  w.hold_s = total_s >= 30.0 ? 2.0 : 0.5;
+  w.band_ms = 2.0 * 20.0;
+  return w;
+}
+
+/// Four Cubic flows through one AQM; the capacity step is a FaultSchedule
+/// (two kRateStep events) replayed by the FaultInjector, so the run also
+/// exercises the fault-injection path end to end.
+inline scenario::DumbbellConfig response_config(scenario::AqmType aqm,
+                                                double link_mbps,
+                                                double rtt_ms,
+                                                const ResponseWindow& w,
+                                                double stats_start_s,
+                                                std::uint64_t seed) {
+  scenario::DumbbellConfig cfg;
+  cfg.link_rate_bps = link_mbps * 1e6;
+  cfg.aqm.type = aqm;
+  cfg.aqm.ecn_drop_threshold = 1.0;
+  cfg.duration = sim::from_seconds(w.total_s);
+  cfg.stats_start = sim::from_seconds(stats_start_s);
+  cfg.seed = seed;
+  scenario::TcpFlowSpec cubic;
+  cubic.cc = tcp::CcType::kCubic;
+  cubic.count = 4;
+  cubic.base_rtt = sim::from_millis(rtt_ms);
+  cfg.tcp_flows.push_back(cubic);
+  cfg.faults.rate_step(sim::from_seconds(w.down_s), cfg.link_rate_bps / 4.0)
+      .rate_step(sim::from_seconds(w.up_s), cfg.link_rate_bps);
+  return cfg;
+}
+
+struct ResponseSummary {
+  double settle_drop_s = -1;
+  double settle_rise_s = -1;
+  double peak_qdelay_ms = 0;  ///< max sampled queue delay after the drop
+};
+
+inline ResponseSummary response_summary(const ResponseWindow& w,
+                                        const scenario::RunResult& result) {
+  ResponseSummary s;
+  const stats::TimeSeries& q = result.qdelay_ms_series;
+  s.settle_drop_s =
+      stats::settle_after_s(q, w.down_s, w.up_s, w.band_ms, w.hold_s);
+  s.settle_rise_s =
+      stats::settle_after_s(q, w.up_s, w.total_s, w.band_ms, w.hold_s);
+  for (const auto& p : q.points()) {
+    if (sim::to_seconds(p.t) >= w.down_s && p.value > s.peak_qdelay_ms) {
+      s.peak_qdelay_ms = p.value;
+    }
+  }
+  return s;
+}
+
+inline void response_print_row(scenario::AqmType aqm, const ResponseSummary& s,
+                               const scenario::RunResult& result) {
+  std::printf("%-14s %-16.2f %-16.2f %-12.1f %-12llu %-8llu\n",
+              aqm_label(aqm), s.settle_drop_s, s.settle_rise_s,
+              s.peak_qdelay_ms,
+              static_cast<unsigned long long>(result.violations.size()),
+              static_cast<unsigned long long>(result.guard_events));
+}
+
+inline void response_json_record(durable::AtomicFile& json, bool& first,
+                                 std::size_t index, scenario::AqmType aqm,
+                                 std::uint64_t seed, const ResponseSummary& s,
+                                 const scenario::RunResult& result) {
+  json.printf(
+      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
+      "\"seed\": %llu, "
+      "\"settle_drop_s\": %.6g, \"settle_rise_s\": %.6g, "
+      "\"peak_qdelay_ms\": %.6g, \"mean_qdelay_ms\": %.6g, "
+      "\"utilization\": %.6g, "
+      "\"events_executed\": %llu, \"clamped_events\": %llu, "
+      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
+      first ? "" : ",", index, aqm_label(aqm),
+      static_cast<unsigned long long>(seed), s.settle_drop_s,
+      s.settle_rise_s, s.peak_qdelay_ms, result.mean_qdelay_ms,
+      result.utilization,
+      static_cast<unsigned long long>(result.events_executed),
+      static_cast<unsigned long long>(result.clamped_events),
+      static_cast<unsigned long long>(result.violations.size()),
+      static_cast<unsigned long long>(result.guard_events));
+  first = false;
+}
+
+inline void response_json_failed(durable::AtomicFile& json, bool& first,
+                                 std::size_t index, runner::TaskStatus status,
+                                 scenario::AqmType aqm) {
+  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\"}",
+              first ? "" : ",", index, runner::to_string(status),
+              aqm_label(aqm));
+  first = false;
+}
+
+/// The machinery gate: the injector must apply both rate steps, and the run
+/// must see no invariant violation and no clamped event. Whether and when
+/// a run settles is the experiment's finding (short smoke windows may never
+/// settle), not a health question.
+inline bool response_machinery_healthy(scenario::AqmType aqm,
+                                       const scenario::RunResult& result) {
+  bool ok = true;
+  if (result.fault_counters.rate_changes != 2) {
+    std::printf("!! %s: expected 2 rate changes, injector applied %llu\n",
+                aqm_label(aqm),
+                static_cast<unsigned long long>(
+                    result.fault_counters.rate_changes));
+    ok = false;
+  }
+  if (!result.violations.empty() || result.clamped_events != 0) ok = false;
+  return ok;
+}
+
+/// The section 4.4 headline: PI2's linearized law keeps its gain right at
+/// high p, so it re-converges after the drop at least as fast as PIE.
+struct ResponseHeadline {
+  double pi2_drop_s = -1;
+  double pie_drop_s = -1;
+
+  void record(scenario::AqmType aqm, double settle_drop_s) {
+    (aqm == scenario::AqmType::kPie ? pie_drop_s : pi2_drop_s) = settle_drop_s;
+  }
+
+  /// Prints nothing unless both AQMs settled; the driver skips it when any
+  /// point was unhealthy.
+  void print() const {
+    if (pi2_drop_s < 0 || pie_drop_s < 0) return;
+    std::printf("\n# PI2 settles %.2f s after the 4x drop vs PIE %.2f s (%s)\n",
+                pi2_drop_s, pie_drop_s,
+                pi2_drop_s <= pie_drop_s ? "PI2 at least as fast"
+                                         : "PIE faster here");
   }
 };
 

@@ -4,7 +4,7 @@
 // in the paper; we reproduce a representative ladder.
 #include <cstdio>
 
-#include "sweep.hpp"
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace pi2;
@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
       std::printf("%-10s %-16s %-16s %-14s\n", "A-B", "cubic/flow[Mbps]",
                   "other/flow[Mbps]", "ratio(A/B)");
       for (const Combo& combo : combos) {
-        const auto cfg = mix_config(aqm, mix, 40.0, 10.0, opts, combo.a, combo.b);
+        const auto cfg =
+            mix_config(aqm, mix, 40.0, 10.0, opts, 0, 0, combo.a, combo.b);
         const auto r = scenario::run_dumbbell(cfg);
         const double a_rate = r.mean_goodput_mbps(tcp::CcType::kCubic);
         const double b_rate = r.mean_goodput_mbps(other_cc(mix));

@@ -3,7 +3,7 @@
 // link = 40 Mb/s, RTT = 10 ms.
 #include <cstdio>
 
-#include "sweep.hpp"
+#include "bench_common.hpp"
 #include "stats/percentile.hpp"
 
 int main(int argc, char** argv) {
@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
       std::printf("%-10s | %-22s | %-22s\n", "A-B", "cubic P1/mean/P99",
                   "other P1/mean/P99");
       for (const Combo& combo : combos) {
-        const auto cfg = mix_config(aqm, mix, 40.0, 10.0, opts, combo.a, combo.b);
+        const auto cfg =
+            mix_config(aqm, mix, 40.0, 10.0, opts, 0, 0, combo.a, combo.b);
         const auto r = scenario::run_dumbbell(cfg);
         const double fair = 40.0 / (combo.a + combo.b);
         stats::PercentileSampler a_norm;

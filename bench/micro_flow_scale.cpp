@@ -154,7 +154,7 @@ void write_points(std::FILE* f, const char* key,
 
 int main(int argc, char** argv) {
   pi2::bench::Options opts = pi2::bench::parse_options(argc, argv);
-  const bool smoke = opts.grid_cap > 0;  // set by --smoke
+  const bool smoke = opts.smoke;
 
   std::vector<int> mixed_grid = {100, 1000, 10000, 100000};
   std::vector<int> packet_grid = {100, static_cast<int>(kPacketBaselineN)};

@@ -1,5 +1,6 @@
 // pi2_campaign: the declarative campaign driver and the only driver of the
-// grid figures (Figures 15-18, overload, parking lot, RTT mix, resilience).
+// grid figures (Figures 15-18, overload, parking lot, RTT mix, resilience,
+// the section 4.4 capacity-step response).
 // A committed spec file (campaigns/*.json) names a scenario template and
 // its axes, expand() turns it into an ordered grid, and the per-point
 // configs, table rows and JSON records come from campaign_templates.hpp.
@@ -25,24 +26,38 @@
 //   12 shard-overlap                        16 io-error
 //                                           17 invalid usage/spec
 //
-// Standard sweep flags (--smoke, --full, --seed, --jobs, --json, --resume,
-// --journal, --telemetry, --deadline-s, ...) keep their bench_common
-// meaning; the driver's own flags and those are parsed in one pass, so an
-// unknown flag, a missing value or a malformed number also exits 17. A
-// killed shard is resumed with --resume, which *compacts* its journal
-// (fresh header, valid points re-appended in index order) so the strict
-// merge loader never sees the torn tail the kill left behind.
+// The flags every bench binary shares (--smoke, --full, --seed,
+// --duration-s, --stats-start-s, --json) keep their bench_common meaning;
+// the durable-run flags (--jobs, --resume, --journal, --deadline-s,
+// --retries, --telemetry, ...) are this driver's own. Both are parsed in one
+// pass, so an unknown flag, a missing value or a malformed number also
+// exits 17. A killed shard is resumed with --resume, which *compacts* its
+// journal (fresh header, valid points re-appended in index order) so the
+// strict merge loader never sees the torn tail the kill left behind.
+//
+// Points fan out across --jobs worker threads; results are consumed in
+// submission order on the calling thread, so every table and --json
+// artifact is byte-identical to a serial run regardless of the job count.
+// A point that throws or exceeds the --deadline-s watchdog is retried
+// (--retries, with --backoff-ms exponential backoff) and, if it still
+// fails, reported as `failed`/`timeout` while every other point completes.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/merge.hpp"
 #include "campaign/spec.hpp"
 #include "campaign_templates.hpp"
-#include "sweep.hpp"
+#include "durable/journal.hpp"
+#include "durable/result_codec.hpp"
+#include "durable/shutdown.hpp"
+#include "telemetry/recorder.hpp"
 #include "topology/topology.hpp"
 
 namespace {
@@ -50,7 +65,7 @@ namespace {
 using namespace pi2;
 using namespace pi2::bench;
 
-/// Flags owned by the driver itself; the rest are parse_options'.
+/// Flags owned by the driver itself; the shared ones are parse_options'.
 struct CampaignCli {
   std::string spec_path;
   bool help = false;
@@ -62,10 +77,57 @@ struct CampaignCli {
   bool merge = false;
   std::vector<std::string> merge_paths;
   bool use_seed = false;  ///< a literal --seed was given (overrides the spec)
+  /// A literal --stats-start-s was given; the response template refuses it.
+  bool stats_start_given = false;
   std::string error;      ///< non-empty = usage error
+
+  /// Worker threads (0 = hardware_concurrency). Output is identical for
+  /// every value; only wall-clock changes.
+  unsigned jobs = 0;
+  /// Caps every cap-enabled axis at this many values (0 = no cap); --smoke
+  /// sets 2 to exercise the whole machinery in seconds.
+  int grid_cap = 0;
+  /// Drop rate_mbps values below this. The fluid-vs-packet agreement test
+  /// uses it to stay inside the mean-field model's validity envelope: the
+  /// Appendix-B window law W = sqrt(2/p) is the small-p approximation, so at
+  /// links where the equilibrium marking probability is ~0.1+ (4 Mb/s on
+  /// the Figures 15-18 grid) real timeout-dominated TCP and the fluid tier
+  /// diverge by construction.
+  double min_link_mbps = 0;
+  /// Per-point wall-clock watchdog in seconds (0 = none). A point past it
+  /// is retried, then reported `timeout`.
+  double deadline_s = 0;
+  /// Extra attempts for a failed or stuck point.
+  int retries = 1;
+  /// Base delay (ms) before the first retry of a point; doubles per further
+  /// attempt, with deterministic seed-derived jitter (0 = retry at once).
+  long long backoff_ms = 0;
+  /// Replay the points found in the run journal (byte-identical output)
+  /// instead of re-simulating them.
+  bool resume = false;
+  /// Journal path override (default: see campaign_journal_path).
+  std::string journal_path;
+  /// Test hooks for the partial-failure path: force point I to throw / to
+  /// stall for `hang_s` wall seconds (-1 = disabled). With a deadline set,
+  /// a hung point exercises the watchdog + retry machinery.
+  long long inject_fail = -1;
+  long long inject_hang = -1;
+  double hang_s = 2.0;
+  /// If non-empty, every point writes a telemetry bundle (JSONL stream,
+  /// Prometheus snapshot, RunManifest) into this directory, plus a
+  /// campaign-wide aggregated snapshot. Byte-identical at any --jobs value.
+  std::string telemetry_dir;
+  /// Telemetry sampling cadence in simulated seconds (0 = 100 ms default).
+  double telemetry_interval_s = 0;
+  /// Background load added to every dumbbell_sweep point, as N extra packet
+  /// Reno flows or a fluid spec of N modelled Reno flows: the same scenario
+  /// rendered by different engine tiers (the golden fluid-vs-packet
+  /// agreement test runs the Figures 15-18 grid both ways).
+  int packet_background = 0;
+  int fluid_background = 0;
 };
 
-/// Parses the driver's flags and the shared sweep flags in one pass.
+/// Parses the driver's flags and the shared flags in one pass.
 Options parse_cli(int argc, char** argv, CampaignCli& cli) {
   const Options opts =
       parse_options(argc, argv, [&](const std::string& arg, int& i) {
@@ -80,6 +142,42 @@ Options parse_cli(int argc, char** argv, CampaignCli& cli) {
         } else if (arg == "--seed") {
           cli.use_seed = true;
           return false;  // the shared flags parse the value
+        } else if (arg == "--stats-start-s") {
+          cli.stats_start_given = true;
+          return false;
+        } else if (arg == "--smoke") {
+          cli.grid_cap = 2;
+          return false;  // the shared flags shorten the durations
+        } else if (arg == "--jobs") {
+          cli.jobs = flag_number<unsigned>(argc, argv, i);
+        } else if (arg == "--grid-cap") {
+          cli.grid_cap = flag_number<int>(argc, argv, i);
+        } else if (arg == "--min-link-mbps") {
+          cli.min_link_mbps = flag_number<double>(argc, argv, i);
+        } else if (arg == "--deadline-s") {
+          cli.deadline_s = flag_number<double>(argc, argv, i);
+        } else if (arg == "--retries") {
+          cli.retries = flag_number<int>(argc, argv, i);
+        } else if (arg == "--backoff-ms") {
+          cli.backoff_ms = flag_number<long long>(argc, argv, i);
+        } else if (arg == "--resume") {
+          cli.resume = true;
+        } else if (arg == "--journal") {
+          cli.journal_path = flag_value(argc, argv, i);
+        } else if (arg == "--inject-fail") {
+          cli.inject_fail = flag_number<long long>(argc, argv, i);
+        } else if (arg == "--inject-hang") {
+          cli.inject_hang = flag_number<long long>(argc, argv, i);
+        } else if (arg == "--hang-s") {
+          cli.hang_s = flag_number<double>(argc, argv, i);
+        } else if (arg == "--telemetry") {
+          cli.telemetry_dir = flag_value(argc, argv, i);
+        } else if (arg == "--telemetry-interval") {
+          cli.telemetry_interval_s = flag_number<double>(argc, argv, i);
+        } else if (arg == "--packet-background") {
+          cli.packet_background = flag_number<int>(argc, argv, i);
+        } else if (arg == "--fluid-background") {
+          cli.fluid_background = flag_number<int>(argc, argv, i);
         } else if (arg == "--shard") {
           const char* value = flag_value(argc, argv, i);
           if (campaign::parse_shard(value, cli.shard_index,
@@ -121,22 +219,44 @@ std::string joined(const std::vector<std::string>& names) {
 /// The usage text enumerates the valid templates and axis names straight
 /// from the campaign registry, so a spec author never has to guess them.
 void print_usage(std::FILE* to) {
-  std::fprintf(to,
-               "usage: pi2_campaign --spec FILE [--list | --digest | "
-               "--shard i/N | --merge JOURNAL...]\n"
-               "                    [sweep flags: --smoke --full --seed N "
-               "--jobs N --json PATH --resume --journal PATH ...]\n"
-               "templates: %s\n"
-               "axes:      %s\n",
-               joined(campaign::template_names()).c_str(),
-               joined(campaign::axis_names()).c_str());
-  using campaign::TemplateId;
-  for (const TemplateId id :
-       {TemplateId::kDumbbellSweep, TemplateId::kOverload,
-        TemplateId::kParkingLot, TemplateId::kRttMix,
-        TemplateId::kResilience}) {
-    std::fprintf(to, "  %-14s axes: %s\n", campaign::to_string(id),
-                 joined(campaign::axes_of_template(id)).c_str());
+  std::fprintf(
+      to,
+      "usage: pi2_campaign --spec FILE [--list | --digest | --shard i/N |\n"
+      "                    --merge JOURNAL...] [flags]\n"
+      "  --jobs N    worker threads (default or 0: all cores; output is\n"
+      "              byte-identical for every N)\n"
+      "  --grid-cap N  truncate every cap-enabled axis to N values (--smoke\n"
+      "              sets 2)\n"
+      "  --min-link-mbps X  drop rate_mbps values below X (fluid-tier\n"
+      "              agreement runs stay in the mean-field validity envelope)\n"
+      "  --deadline-s S  per-point wall-clock watchdog; a point past the\n"
+      "              deadline is retried, then reported `timeout`\n"
+      "  --retries N retry budget per failed/stuck point (default 1)\n"
+      "  --backoff-ms MS  base retry backoff, doubling per attempt with\n"
+      "              deterministic seed-derived jitter (default 0)\n"
+      "  --resume    replay completed points from the run journal and only\n"
+      "              re-simulate the missing ones; the output is\n"
+      "              byte-identical to an uninterrupted run\n"
+      "  --journal PATH  journal location (default: <json>.journal, or\n"
+      "              <campaign>.journal without --json)\n"
+      "  --inject-fail I / --inject-hang I / --hang-s S\n"
+      "              test hooks: force point I to throw, or to stall S wall\n"
+      "              seconds (default 2)\n"
+      "  --telemetry DIR  write per-point telemetry artifacts (JSONL,\n"
+      "              Prometheus snapshot, run manifest) into DIR\n"
+      "  --telemetry-interval S  telemetry sampling cadence in simulated\n"
+      "              seconds (default 0.1)\n"
+      "  --packet-background N / --fluid-background N\n"
+      "              add N background Reno flows to every dumbbell_sweep\n"
+      "              point, as packet flows or as one fluid spec\n"
+      "%s"
+      "templates: %s\n"
+      "axes:      %s\n",
+      kSharedFlagHelp, joined(campaign::template_names()).c_str(),
+      joined(campaign::axis_names()).c_str());
+  for (const std::string& name : campaign::template_names()) {
+    std::fprintf(to, "  %-14s axes: %s\n", name.c_str(),
+                 joined(campaign::axes_of_template(name)).c_str());
   }
   std::fprintf(to, "fault_schedule values: %s; or an inline literal like "
                    "'rate_step@0.4:rate=0.25'\n",
@@ -173,6 +293,53 @@ std::string axis_value_str(const campaign::AxisValue& v) {
   return buf;
 }
 
+/// Test hook honoring --inject-fail / --inject-hang: makes one point
+/// misbehave so the partial-failure path can be exercised end to end. The
+/// hang polls the shutdown flag so an interrupted campaign still stops at a
+/// point boundary instead of waiting out the full stall.
+void maybe_inject(const CampaignCli& cli, std::size_t i) {
+  if (cli.inject_fail >= 0 && static_cast<std::size_t>(cli.inject_fail) == i) {
+    throw std::runtime_error("injected failure (--inject-fail " +
+                             std::to_string(i) + ")");
+  }
+  if (cli.inject_hang >= 0 && static_cast<std::size_t>(cli.inject_hang) == i) {
+    const auto end =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(cli.hang_s));
+    while (std::chrono::steady_clock::now() < end) {
+      if (durable::ShutdownController::requested()) {
+        throw durable::InterruptedError(
+            "injected hang interrupted by shutdown request");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+}
+
+runner::GuardOptions guard_options(const CampaignCli& cli,
+                                   std::uint64_t jitter_seed) {
+  runner::GuardOptions guard;
+  guard.retry.attempt_deadline = std::chrono::milliseconds(
+      static_cast<long long>(cli.deadline_s * 1000.0));
+  guard.retry.max_attempts = 1 + std::max(0, cli.retries);
+  guard.retry.backoff_base = std::chrono::milliseconds(cli.backoff_ms);
+  guard.retry.jitter_seed = jitter_seed;
+  guard.cancel = durable::ShutdownController::flag();
+  return guard;
+}
+
+telemetry::RecorderConfig point_recorder_config(const CampaignCli& cli,
+                                                std::size_t i) {
+  telemetry::RecorderConfig rc;
+  rc.dir = cli.telemetry_dir;
+  rc.run_id = detail::point_run_id(i);
+  if (cli.telemetry_interval_s > 0) {
+    rc.interval = sim::from_seconds(cli.telemetry_interval_s);
+  }
+  return rc;
+}
+
 // ---- per-template dispatch -------------------------------------------------
 //
 // Each template maps a point's axis values onto its config builder, table
@@ -189,8 +356,11 @@ struct TemplateView {
   // the expansion's link/RTT/duration). main() preflights every value, so
   // lookups from run_point are total.
   std::map<std::string, faults::FaultSchedule> schedules;
+  /// Step and settle timing of the response template.
+  ResponseWindow response;
 
-  explicit TemplateView(const campaign::Expansion& expansion) : x(expansion) {
+  explicit TemplateView(const campaign::Expansion& expansion)
+      : x(expansion), response(response_window(expansion.duration_s)) {
     aqm = x.axis_of("aqm");
     cc_mix = x.axis_of("cc_mix");
     rate = x.axis_of("rate_mbps");
@@ -259,21 +429,32 @@ void print_table_header(const TemplateView& v) {
                   "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
                   "delta", "qdelay", "util", "viol i/o");
       break;
+    case campaign::TemplateId::kResponse:
+      std::printf("# step down at %.1f s, step up at %.1f s; settle = qdelay "
+                  "held <= %.0f ms for %.1f s\n",
+                  v.response.down_s, v.response.up_s, v.response.band_ms,
+                  v.response.hold_s);
+      std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
+                  "settle_drop[s]", "settle_rise[s]", "peak[ms]",
+                  "invariants", "guards");
+      break;
   }
 }
 
 /// Builds and runs point `p` (on a worker thread). `recorder` may be null.
 scenario::RunResult run_point(const TemplateView& v, const Options& opts,
+                              const CampaignCli& cli,
                               const campaign::CampaignPoint& p,
                               telemetry::Recorder* recorder) {
   using campaign::TemplateId;
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep: {
-      // Durations and background tiers come from the shared flags
-      // (mix_config); the seed is the campaign's own.
+      // Durations come from the shared flags (mix_config), the background
+      // tiers from the driver's; the seed is the campaign's own.
       auto cfg = mix_config(aqm_from_name(v.text(p, v.aqm)),
                             mix_from_name(v.text(p, v.cc_mix)),
-                            v.num(p, v.rate), v.num(p, v.rtt), opts);
+                            v.num(p, v.rate), v.num(p, v.rtt), opts,
+                            cli.packet_background, cli.fluid_background);
       cfg.seed = p.seed;
       cfg.stop = durable::ShutdownController::flag();
       if (recorder != nullptr) cfg.recorder = recorder;
@@ -314,6 +495,14 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
       if (recorder != nullptr) cfg.recorder = recorder;
       return scenario::run_dumbbell(cfg);
     }
+    case TemplateId::kResponse: {
+      auto cfg = response_config(aqm_from_name(v.text(p, v.aqm)),
+                                 v.x.link_mbps, v.x.rtt_ms, v.response,
+                                 v.x.stats_start_s, p.seed);
+      cfg.stop = durable::ShutdownController::flag();
+      if (recorder != nullptr) cfg.recorder = recorder;
+      return scenario::run_dumbbell(cfg);
+    }
   }
   return scenario::RunResult();
 }
@@ -333,10 +522,11 @@ struct OutputSinks {
   // Cross-point recovery comparison (resilience template only); checked
   // after the consume loop.
   ResilienceGate resilience_gate;
+  ResponseHeadline response_headline;
 
-  explicit OutputSinks(const Options& opts)
-      : with_background(opts.packet_background > 0 ||
-                        opts.fluid_background > 0),
+  OutputSinks(const Options& opts, const CampaignCli& cli)
+      : with_background(cli.packet_background > 0 ||
+                        cli.fluid_background > 0),
         stats_start(bench::stats_start(opts)) {
     if (opts.json_path.empty()) return;
     json = std::make_unique<durable::AtomicFile>(opts.json_path);
@@ -447,6 +637,18 @@ void consume_point(const TemplateView& v, OutputSinks& out,
                                  result.resilience.worst_recovery_s);
       return;
     }
+    case TemplateId::kResponse: {
+      const auto aqm = aqm_from_name(v.text(p, v.aqm));
+      const ResponseSummary summary = response_summary(v.response, result);
+      response_print_row(aqm, summary, result);
+      if (out.json != nullptr) {
+        response_json_record(*out.json, out.json_first, p.index, aqm, p.seed,
+                             summary, result);
+      }
+      if (!response_machinery_healthy(aqm, result)) out.healthy = false;
+      out.response_headline.record(aqm, summary.settle_drop_s);
+      return;
+    }
   }
 }
 
@@ -505,14 +707,29 @@ void consume_failed(const TemplateView& v, OutputSinks& out,
                                v.num(p, v.fluid));
       }
       return;
+    case TemplateId::kResponse: {
+      const auto aqm = aqm_from_name(v.text(p, v.aqm));
+      std::printf("%-14s point %s\n", aqm_label(aqm),
+                  runner::to_string(status));
+      if (out.json != nullptr) {
+        response_json_failed(*out.json, out.json_first, p.index, status, aqm);
+      }
+      return;
+    }
   }
 }
 
-/// Closes the table with the figure's expectation footer (and, for Figures
-/// 15-18, the grid-wide headline of Figure 15).
+/// Closes the table with the figure's expectation footer (for Figures
+/// 15-18 also the grid-wide headline of Figure 15; for the response
+/// template only its settle headline, and only when every point was
+/// healthy).
 void print_footer(const TemplateView& v, const OutputSinks& out) {
   using campaign::TemplateId;
   if (v.x.template_id == TemplateId::kResilience) return;
+  if (v.x.template_id == TemplateId::kResponse) {
+    if (out.healthy) out.response_headline.print();
+    return;
+  }
   std::printf("\n");
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep:
@@ -529,6 +746,7 @@ void print_footer(const TemplateView& v, const OutputSinks& out) {
       std::fputs(kRttMixExpectation, stdout);
       return;
     case TemplateId::kResilience:
+    case TemplateId::kResponse:
       return;
   }
 }
@@ -539,7 +757,7 @@ void print_footer(const TemplateView& v, const OutputSinks& out) {
 std::string campaign_journal_path(const campaign::Expansion& x,
                                   const CampaignCli& cli,
                                   const Options& opts) {
-  if (!opts.journal_path.empty()) return opts.journal_path;
+  if (!cli.journal_path.empty()) return cli.journal_path;
   if (cli.has_shard) {
     return x.name + ".shard" + std::to_string(cli.shard_index) + "of" +
            std::to_string(cli.shard_count) + ".journal";
@@ -586,7 +804,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
   std::vector<const std::string*> replay_payload(n, nullptr);
   std::vector<std::unique_ptr<scenario::RunResult>> replay(n);
   durable::LoadedJournal loaded;
-  if (opts.resume) {
+  if (cli.resume) {
     loaded = durable::load_journal(journal_file, x.digest);
     if (loaded.exists && !loaded.header_ok) {
       std::fprintf(stderr,
@@ -645,9 +863,9 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
     (void)journal.append_shard(shard);
   }
 
-  OutputSinks out{opts};
-  const runner::ParallelRunner pool{opts.jobs};
-  const bool telemetry_on = !opts.telemetry_dir.empty();
+  OutputSinks out{opts, cli};
+  const runner::ParallelRunner pool{cli.jobs};
+  const bool telemetry_on = !cli.telemetry_dir.empty();
   telemetry::MetricsRegistry aggregate_registry;
   telemetry::SectionProfile aggregate_profile;
   std::size_t replayed_count = 0;
@@ -673,13 +891,13 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
           return outcome;
         }
         try {
-          detail::maybe_inject(opts, range.lo + j);
+          maybe_inject(cli, range.lo + j);
           PointOutcome outcome;
           if (telemetry_on) {
             outcome.recorder = std::make_shared<telemetry::Recorder>(
-                detail::point_recorder_config(opts, range.lo + j));
+                point_recorder_config(cli, range.lo + j));
           }
-          outcome.result = run_point(v, opts, x.points[range.lo + j],
+          outcome.result = run_point(v, opts, cli, x.points[range.lo + j],
                                      outcome.recorder.get());
           return outcome;
         } catch (const std::exception& ex) {
@@ -698,7 +916,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
           std::string message;
           if (status == runner::TaskStatus::kTimeout) {
             message = "wall-clock deadline exceeded (--deadline-s " +
-                      std::to_string(opts.deadline_s) + ")";
+                      std::to_string(cli.deadline_s) + ")";
           } else {
             const std::lock_guard<std::mutex> lock{error_mutex};
             message = last_error[j].empty() ? "unknown error" : last_error[j];
@@ -722,13 +940,13 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
           aggregate_profile.merge_from(outcome->recorder->profile());
           outcome->recorder.reset();
         } else if (telemetry_on && replay[j] != nullptr) {
-          manifest_path = opts.telemetry_dir + "/" +
+          manifest_path = cli.telemetry_dir + "/" +
                           detail::point_run_id(range.lo + j) +
                           ".manifest.json";
         }
         consume_point(v, out, p, outcome->result, manifest_path);
       },
-      detail::guard_options(opts));
+      guard_options(cli, opts.seed));
 
   if (durable::ShutdownController::requested()) {
     if (journal.healthy()) {
@@ -752,7 +970,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
                    "skipping sweep_aggregate.prom\n",
                    replayed_count);
     } else {
-      telemetry::PrometheusExporter aggregate{opts.telemetry_dir +
+      telemetry::PrometheusExporter aggregate{cli.telemetry_dir +
                                               "/sweep_aggregate.prom"};
       aggregate_registry.freeze_gauges();
       aggregate.finish(aggregate_registry);
@@ -822,8 +1040,8 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
   // reconstructed from the point index exactly as --resume does: the shards
   // wrote their telemetry under the same deterministic per-point run ids.
   const TemplateView v{x};
-  OutputSinks out{opts};
-  const bool telemetry_on = !opts.telemetry_dir.empty();
+  OutputSinks out{opts, cli};
+  const bool telemetry_on = !cli.telemetry_dir.empty();
   for (std::size_t i = 0; i < x.points.size(); ++i) {
     scenario::RunResult result;
     const durable::Status decode =
@@ -837,7 +1055,7 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
     }
     std::string manifest_path;
     if (telemetry_on) {
-      manifest_path = opts.telemetry_dir + "/" + detail::point_run_id(i) +
+      manifest_path = cli.telemetry_dir + "/" + detail::point_run_id(i) +
                       ".manifest.json";
     }
     consume_point(v, out, x.points[i], result, manifest_path);
@@ -875,10 +1093,18 @@ int main(int argc, char** argv) {
     return kUsageExit;
   }
 
+  // The response template derives its stats window from the run length
+  // (T/10), so an explicit override would be silently ignored.
+  if (cli.stats_start_given &&
+      spec.template_id() == campaign::TemplateId::kResponse) {
+    return usage_error("--stats-start-s: template 'response' derives its "
+                       "stats window from the run duration (T/10)");
+  }
+
   campaign::ExpandOptions eo;
   eo.full = opts.full;
-  eo.grid_cap = opts.grid_cap;
-  eo.min_link_mbps = opts.min_link_mbps;
+  eo.grid_cap = cli.grid_cap;
+  eo.min_link_mbps = cli.min_link_mbps;
   eo.duration_s_override = opts.duration_s_override;
   eo.stats_start_s_override = opts.stats_start_s_override;
   eo.use_seed = cli.use_seed;
@@ -887,10 +1113,10 @@ int main(int argc, char** argv) {
   // The background tiers change every dumbbell point's result without being
   // part of the spec; folding them into the digest that keys the journal
   // makes --resume and --merge refuse a journal run with other tiers.
-  if (opts.packet_background > 0 || opts.fluid_background > 0) {
+  if (cli.packet_background > 0 || cli.fluid_background > 0) {
     durable::Fnv1a h{x.digest};
-    h.mix_u64(static_cast<std::uint64_t>(opts.packet_background));
-    h.mix_u64(static_cast<std::uint64_t>(opts.fluid_background));
+    h.mix_u64(static_cast<std::uint64_t>(cli.packet_background));
+    h.mix_u64(static_cast<std::uint64_t>(cli.fluid_background));
     x.digest = h.state;
   }
   if (x.points.empty()) {

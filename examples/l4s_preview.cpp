@@ -5,89 +5,30 @@
 // sub-millisecond queue while Cubic keeps its own 20 ms-target queue.
 //
 // This example runs the identical Cubic+DCTCP mix through both arrangements
-// and prints the delay each flow's packets actually experienced.
+// and prints the delay each flow's packets actually experienced. The dual
+// queue's per-band delays come from the packet trace: Cubic departures sit
+// in the C band, DCTCP departures in L.
 #include <cstdio>
-#include <memory>
 
-#include "core/dualpi2.hpp"
+#include "net/trace.hpp"
 #include "scenario/dumbbell.hpp"
 #include "stats/percentile.hpp"
-#include "tcp/endpoint.hpp"
 
 namespace {
 
 using namespace pi2;
 
-void run_dualq(double link_mbps, double rtt_ms) {
-  sim::Simulator simulator{1};
-  core::DualPi2Link::Params params;
-  params.rate_bps = link_mbps * 1e6;
-  core::DualPi2Link link{simulator, params};
+constexpr double kLinkMbps = 40.0;
+constexpr double kRttMs = 10.0;
 
-  stats::PercentileSampler l_ms;
-  stats::PercentileSampler c_ms;
-  link.set_departure_probe(
-      [&](const net::Packet&, sim::Duration sojourn, bool from_l) {
-        if (simulator.now() > sim::from_seconds(20)) {
-          (from_l ? l_ms : c_ms).add(sim::to_millis(sojourn));
-        }
-      });
-
-  struct Flow {
-    std::unique_ptr<tcp::TcpSender> sender;
-    std::unique_ptr<tcp::TcpReceiver> receiver;
-    std::int64_t bytes = 0;
-  };
-  Flow flows[2];
-  const tcp::CcType ccs[2] = {tcp::CcType::kCubic, tcp::CcType::kDctcp};
-  for (int i = 0; i < 2; ++i) {
-    tcp::TcpSender::Config sc;
-    sc.flow = i;
-    sc.max_cwnd = 700;
-    flows[i].sender = std::make_unique<tcp::TcpSender>(
-        simulator, sc, tcp::make_congestion_control(ccs[i]));
-    flows[i].receiver = std::make_unique<tcp::TcpReceiver>(simulator, i);
-    Flow* flow = &flows[i];
-    flow->sender->set_output([&link](net::Packet p) { link.send(p); });
-    flow->receiver->set_delivery_probe([flow, &simulator](const net::Packet& p) {
-      if (simulator.now() > sim::from_seconds(20)) flow->bytes += p.size;
-    });
-    flow->receiver->set_ack_path([&simulator, flow, rtt_ms](net::Packet a) {
-      simulator.after(sim::from_millis(rtt_ms / 2),
-                      [flow, a] { flow->sender->on_ack(a); });
-    });
-    flow->sender->start();
-  }
-  link.set_sink([&](net::Packet p) {
-    Flow* flow = &flows[p.flow];
-    simulator.after(sim::from_millis(rtt_ms / 2),
-                    [flow, p] { flow->receiver->on_data(p); });
-  });
-  simulator.run_until(sim::from_seconds(80));
-
-  const double span = 60.0;
-  std::printf("DualPI2 (two queues):\n");
-  std::printf("  dctcp queue delay: mean %.2f ms, p99 %.2f ms\n", l_ms.mean(),
-              l_ms.p99());
-  std::printf("  cubic queue delay: mean %.2f ms, p99 %.2f ms\n", c_ms.mean(),
-              c_ms.p99());
-  std::printf("  rates: cubic %.1f, dctcp %.1f Mb/s\n",
-              static_cast<double>(flows[0].bytes) * 8.0 / span / 1e6,
-              static_cast<double>(flows[1].bytes) * 8.0 / span / 1e6);
-}
-
-}  // namespace
-
-int main() {
-  constexpr double kLinkMbps = 40.0;
-  constexpr double kRttMs = 10.0;
-
-  // Single queue (the paper's interim arrangement).
+/// One Cubic and one DCTCP flow; spec order fixes the flow ids (0 = Cubic,
+/// 1 = DCTCP).
+scenario::DumbbellConfig mix(scenario::AqmType aqm) {
   scenario::DumbbellConfig cfg;
   cfg.link_rate_bps = kLinkMbps * 1e6;
   cfg.duration = sim::from_seconds(80.0);
   cfg.stats_start = sim::from_seconds(20.0);
-  cfg.aqm.type = scenario::AqmType::kCoupledPi2;
+  cfg.aqm.type = aqm;
   scenario::TcpFlowSpec cubic;
   cubic.cc = tcp::CcType::kCubic;
   cubic.base_rtt = sim::from_millis(kRttMs);
@@ -95,16 +36,44 @@ int main() {
   dctcp.cc = tcp::CcType::kDctcp;
   dctcp.base_rtt = sim::from_millis(kRttMs);
   cfg.tcp_flows = {cubic, dctcp};
-  const auto r = scenario::run_dumbbell(cfg);
+  return cfg;
+}
 
-  std::printf("Coupled PI2, single queue (the paper):\n");
-  std::printf("  shared queue delay: mean %.2f ms, p99 %.2f ms\n",
-              r.mean_qdelay_ms, r.p99_qdelay_ms);
-  std::printf("  rates: cubic %.1f, dctcp %.1f Mb/s\n\n",
+void print_rates(const scenario::RunResult& r) {
+  std::printf("  rates: cubic %.1f, dctcp %.1f Mb/s\n",
               r.mean_goodput_mbps(tcp::CcType::kCubic),
               r.mean_goodput_mbps(tcp::CcType::kDctcp));
+}
 
-  run_dualq(kLinkMbps, kRttMs);
+}  // namespace
+
+int main() {
+  // Single queue (the paper's interim arrangement).
+  const auto single = scenario::run_dumbbell(mix(scenario::AqmType::kCoupledPi2));
+  std::printf("Coupled PI2, single queue (the paper):\n");
+  std::printf("  shared queue delay: mean %.2f ms, p99 %.2f ms\n",
+              single.mean_qdelay_ms, single.p99_qdelay_ms);
+  print_rates(single);
+
+  // Dual queue, with the departures traced for the per-band delays.
+  auto cfg = mix(scenario::AqmType::kDualPi2);
+  net::PacketTrace trace{1u << 22};
+  cfg.trace = &trace;
+  const auto dual = scenario::run_dumbbell(cfg);
+  stats::PercentileSampler l_ms;
+  stats::PercentileSampler c_ms;
+  for (const net::TraceRecord& rec : trace.records()) {
+    if (rec.type != net::TraceEventType::kDeparture || rec.t < cfg.stats_start) {
+      continue;
+    }
+    (rec.flow == 1 ? l_ms : c_ms).add(sim::to_millis(rec.sojourn));
+  }
+  std::printf("\nDualPI2 (two queues):\n");
+  std::printf("  dctcp queue delay: mean %.2f ms, p99 %.2f ms\n", l_ms.mean(),
+              l_ms.p99());
+  std::printf("  cubic queue delay: mean %.2f ms, p99 %.2f ms\n", c_ms.mean(),
+              c_ms.p99());
+  print_rates(dual);
 
   std::printf(
       "\nSame coupling, same fairness — but the dual queue removes the\n"

@@ -76,8 +76,8 @@ durable::Status merge_shards(const Expansion& campaign,
     if (!loaded.ok()) return loaded;
 
     // Identity checks, most-specific first: no shard record at all means
-    // the journal was never part of a sharded campaign (fig_response's
-    // resume journal, say); a name mismatch is a different campaign; a
+    // the journal was never part of a sharded campaign (a journal written
+    // before shard records existed, say); a name mismatch is a different campaign; a
     // digest mismatch under the same name means the spec changed since the
     // shard ran and its grid no longer exists.
     if (!view.data.shard.present) {

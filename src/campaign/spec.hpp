@@ -15,6 +15,7 @@
 //     "name": "fig15_18",              // campaign identity (journal checks)
 //     "template": "dumbbell_sweep",    // | "overload" | "parking_lot"
 //                                      // | "rtt_mix" | "resilience"
+//                                      // | "response"
 //     "seed": 1,                       // base RNG seed (CLI --seed overrides)
 //     "link_mbps": 10,                 // optional fixed-parameter overrides
 //     "rtt_ms": 10,
@@ -53,6 +54,7 @@ enum class TemplateId {
   kParkingLot,
   kRttMix,
   kResilience,
+  kResponse,
 };
 
 [[nodiscard]] const char* to_string(TemplateId id);
@@ -64,8 +66,10 @@ enum class TemplateId {
 /// All template names, declaration order.
 [[nodiscard]] const std::vector<std::string>& template_names();
 
-/// The axes a template requires (all of them mandatory in a spec).
-[[nodiscard]] const std::vector<std::string>& axes_of_template(TemplateId id);
+/// The axes the named template requires (all of them mandatory in a spec);
+/// empty for an unknown name.
+[[nodiscard]] const std::vector<std::string>& axes_of_template(
+    const std::string& name);
 
 /// One swept value: a finite double or a non-empty string, never both.
 struct AxisValue {
@@ -97,7 +101,7 @@ struct CampaignSpec {
   std::uint64_t seed = 1;
   std::vector<Axis> axes;
   /// Fixed-parameter overrides (0 = the template's default: 10 Mb/s link,
-  /// 10 ms RTT for the single-bottleneck templates).
+  /// 10 ms RTT for the single-bottleneck templates; 40 Mb/s for response).
   double link_mbps = 0;
   double rtt_ms = 0;
 
@@ -130,6 +134,7 @@ struct ExpandOptions {
   int grid_cap = 0;             ///< truncate cap-enabled axes to this length
   double min_link_mbps = 0;     ///< drop rate_mbps values below this
   double duration_s_override = 0;
+  /// Ignored by the response template, whose stats window is T/10.
   double stats_start_s_override = 0;
   bool use_seed = false;        ///< replace the spec's seed (CLI --seed)
   std::uint64_t seed = 0;

@@ -23,13 +23,10 @@
 // the paper's 25% overload cap; beyond that the shared buffer tail-drops,
 // attributed per queue.
 //
-// Three faces share one DualPi2Core:
-//   - DualPi2Link:  standalone two-queue bottleneck (the original extension
-//                    component, kept for direct experiments).
-//   - DualPi2Qdisc: first-class QueueDiscipline. The owning BottleneckLink
-//                    keeps band 0 (L) and band 1 (C) FIFOs; the discipline
-//                    classifies by ECT codepoint and schedules via the
-//                    time-shifted comparison.
+// DualPi2Core holds the controller and the signalling policy; DualPi2Qdisc
+// is its QueueDiscipline front end. The owning BottleneckLink keeps band 0
+// (L) and band 1 (C) FIFOs; the discipline classifies by ECT codepoint and
+// schedules via the time-shifted comparison.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +40,7 @@
 
 namespace pi2::core {
 
-/// Knobs shared by DualPi2Link and DualPi2Qdisc. Defaults follow the Linux
+/// DualPI2 knobs. Defaults follow the Linux
 /// sch_pi2 reference parameterization (k 2, t_shift 30ms, l_drop 100,
 /// l_thresh 3000) with this repo's PI gains/target.
 struct DualPi2Params {
@@ -68,9 +65,8 @@ struct DualPi2Params {
   std::int64_t l_thresh_packets = 3000;
 };
 
-/// Controller + signalling policy shared by the link and the qdisc. Holds
-/// the PI state, the overload hysteresis, and the per-packet decision
-/// helpers, so the two front ends cannot drift.
+/// Controller + signalling policy behind DualPi2Qdisc: the PI state, the
+/// overload hysteresis, and the per-packet decision helpers.
 class DualPi2Core {
  public:
   enum class Signal { kNone, kMark, kDrop };
@@ -114,70 +110,6 @@ class DualPi2Core {
   pi2::aqm::PiCore pi_;
   bool overloaded_ = false;
   std::uint64_t guard_events_ = 0;
-};
-
-/// Standalone two-queue bottleneck mirroring BottleneckLink's interface so
-/// direct experiments can swap it in for the single-queue bottleneck.
-class DualPi2Link {
- public:
-  struct Params : DualPi2Params {
-    double rate_bps = 40e6;
-    std::int64_t buffer_packets = 40000;  ///< shared across both queues
-  };
-
-  struct Counters {
-    std::int64_t l_enqueued = 0;
-    std::int64_t c_enqueued = 0;
-    std::int64_t l_marked = 0;
-    std::int64_t c_marked = 0;
-    std::int64_t l_dropped = 0;  ///< overload-mode squared drops
-    std::int64_t c_dropped = 0;
-    std::int64_t tail_dropped = 0;
-    /// Per-queue attribution of the shared-buffer tail drops.
-    std::int64_t l_tail_dropped = 0;
-    std::int64_t c_tail_dropped = 0;
-  };
-
-  DualPi2Link(pi2::sim::Simulator& sim, Params params);
-
-  void set_sink(std::function<void(net::Packet)> sink) { sink_ = std::move(sink); }
-  /// Observer per departure: packet, sojourn time, and whether it used the
-  /// L (Scalable) queue.
-  void set_departure_probe(
-      std::function<void(const net::Packet&, pi2::sim::Duration, bool)> probe) {
-    departure_probe_ = std::move(probe);
-  }
-
-  void send(net::Packet packet);
-
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] double p_prime() const { return core_.p_prime(); }
-  [[nodiscard]] bool overloaded() const { return core_.overloaded(); }
-  [[nodiscard]] std::uint64_t guard_events() const { return core_.guard_events(); }
-  [[nodiscard]] pi2::sim::Duration l_queue_delay() const;
-  [[nodiscard]] pi2::sim::Duration c_queue_delay() const;
-
- private:
-  void update();
-  void schedule_update();
-  void try_start_transmission();
-  void finish_transmission(net::Packet packet, bool from_l);
-  [[nodiscard]] std::int64_t total_backlog_packets() const {
-    return static_cast<std::int64_t>(l_queue_.size() + c_queue_.size());
-  }
-
-  pi2::sim::Simulator& sim_;
-  Params params_;
-  DualPi2Core core_;
-  pi2::sim::Rng rng_;
-  std::deque<net::Packet> l_queue_;
-  std::deque<net::Packet> c_queue_;
-  std::int64_t l_backlog_bytes_ = 0;
-  std::int64_t c_backlog_bytes_ = 0;
-  bool transmitting_ = false;
-  Counters counters_;
-  std::function<void(net::Packet)> sink_;
-  std::function<void(const net::Packet&, pi2::sim::Duration, bool)> departure_probe_;
 };
 
 /// First-class DualPI2 queue discipline. The owning queue keeps two FIFO

@@ -4,14 +4,8 @@
 
 namespace pi2::stats {
 
-namespace {
-
 using pi2::sim::to_seconds;
 
-/// First time at/after `from_s` from which the sampled qdelay stays inside
-/// the band for `hold_s` seconds, as a latency relative to `from_s`; the
-/// hold interval must fit before `limit_s`. -1 when the run never settles —
-/// the fig_response criterion, verbatim.
 double settle_after_s(const TimeSeries& qdelay_ms, double from_s,
                       double limit_s, double band_ms, double hold_s) {
   const auto& pts = qdelay_ms.points();
@@ -31,8 +25,6 @@ double settle_after_s(const TimeSeries& qdelay_ms, double from_s,
   }
   return -1.0;
 }
-
-}  // namespace
 
 ResilienceReport analyze_recovery(
     const TimeSeries& qdelay_ms, const std::vector<RecoveryWindow>& windows,

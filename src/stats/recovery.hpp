@@ -3,10 +3,11 @@
 //
 // The paper's robustness claim is dynamic — PI2's linearized control returns
 // to its delay target faster than PIE after load/capacity transients
-// (fig_response measures one such step). analyze_recovery() generalizes that
-// measurement to any fault schedule: given the sampled queue-delay series
-// and the disturbance windows (see faults::fault_windows), it scores each
-// window with the fig_response settle criterion — the first time after the
+// (the `response` campaign template measures one such step, with
+// settle_after_s()). analyze_recovery() generalizes that measurement to any
+// fault schedule: given the sampled queue-delay series and the disturbance
+// windows (see faults::fault_windows), it scores each window with the same
+// settle criterion — the first time after the
 // window from which qdelay stays inside the band for `hold_s` — plus the
 // peak excursion, the post-fault steady-state shift, and how the invariant
 // violations split across fault windows vs. quiet time.
@@ -33,7 +34,7 @@ struct RecoveryWindow {
 
 struct RecoveryOptions {
   /// In-band means sampled qdelay <= band_ms (the drivers use 2x the AQM
-  /// delay target, matching fig_response).
+  /// delay target, matching the response template).
   double band_ms = 40.0;
   /// Sustained time inside the band required to count as reconverged.
   double hold_s = 1.0;
@@ -84,6 +85,14 @@ struct ResilienceReport {
            violations_outside == other.violations_outside;
   }
 };
+
+/// First time at/after `from_s` from which the sampled qdelay stays inside
+/// the band (<= `band_ms`) for `hold_s` seconds, as a latency relative to
+/// `from_s`; the hold interval must fit before `limit_s`. -1 when the run
+/// never settles.
+[[nodiscard]] double settle_after_s(const TimeSeries& qdelay_ms, double from_s,
+                                    double limit_s, double band_ms,
+                                    double hold_s);
 
 [[nodiscard]] ResilienceReport analyze_recovery(
     const TimeSeries& qdelay_ms, const std::vector<RecoveryWindow>& windows,

@@ -261,7 +261,8 @@ TEST(CampaignValidate, UnknownTemplate) {
   spec.template_name = "trident";
   EXPECT_EQ(spec.validate(),
             "template 'trident' is not a recognized template "
-            "(dumbbell_sweep, overload, parking_lot, rtt_mix, resilience)");
+            "(dumbbell_sweep, overload, parking_lot, rtt_mix, resilience, "
+            "response)");
 }
 
 TEST(CampaignValidate, NegativeLinkOverride) {
@@ -556,7 +557,7 @@ TEST(CampaignProperties, GeneratedDigestsAreDistinct) {
 TEST(CampaignProperties, HoldForCommittedCampaignFiles) {
   const char* files[] = {
       "fig15_18.json",    "fig_overload.json",   "fig_parking_lot.json",
-      "fig_rtt_mix.json", "fig_resilience.json",
+      "fig_rtt_mix.json", "fig_resilience.json", "fig_response.json",
   };
   ExpandOptions smoke;
   smoke.grid_cap = 2;

@@ -7,25 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
+#include "dualq_link.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::core {
 namespace {
 
+using pi2::core::testing::DualQLink;
+using pi2::core::testing::from_l;
+using pi2::core::testing::packet_with;
 using pi2::net::Ecn;
 using pi2::net::Packet;
 using pi2::sim::from_millis;
 using pi2::sim::from_seconds;
 using pi2::sim::Simulator;
 using pi2::sim::to_millis;
-
-Packet packet_with(Ecn ecn) {
-  Packet p;
-  p.ecn = ecn;
-  return p;
-}
 
 TEST(DualPi2Overload, PPrimeClampsAtSqrtOfClassicCap) {
   // A 2 s Classic delay against a 20 ms target is hopeless overload: the PI
@@ -152,23 +151,22 @@ TEST(DualPi2Overload, TShiftBoundsClassicWaitUnderLFlood) {
   // 1.2 Mb/s (10 ms per packet) with the default 30 ms shift, a C packet
   // queued behind a continuous L feed departs around t = 50 ms.
   Simulator sim{1};
-  DualPi2Link::Params params;
-  params.rate_bps = 1.2e6;
-  DualPi2Link link{sim, params};
+  DualQLink q{sim, 1.2e6};
+  const DualPi2Params& params = q.qdisc->params();
   std::vector<double> c_departures_ms;
   int l_departures = 0;
-  link.set_departure_probe([&](const Packet&, pi2::sim::Duration, bool from_l) {
-    if (from_l) {
+  q.link->add_departure_probe([&](const Packet& p, pi2::sim::Duration) {
+    if (from_l(p)) {
       ++l_departures;
     } else {
       c_departures_ms.push_back(to_millis(sim.now()));
     }
   });
-  link.send(packet_with(Ecn::kEct1));   // transmission starts immediately
-  link.send(packet_with(Ecn::kNotEct));  // the C packet under test
+  q.link->send(packet_with(Ecn::kEct1));   // transmission starts immediately
+  q.link->send(packet_with(Ecn::kNotEct));  // the C packet under test
   // Feed L slightly faster than the service rate so its queue never empties.
   std::function<void()> feed = [&] {
-    link.send(packet_with(Ecn::kEct1));
+    q.link->send(packet_with(Ecn::kEct1));
     if (sim.now() < from_millis(200)) sim.after(from_millis(9), feed);
   };
   sim.after(from_millis(9), feed);
@@ -180,7 +178,7 @@ TEST(DualPi2Overload, TShiftBoundsClassicWaitUnderLFlood) {
   EXPECT_GE(c_departures_ms[0], to_millis(params.t_shift));
   EXPECT_LE(c_departures_ms[0], to_millis(params.t_shift) + 3 * 10.0);
   EXPECT_GT(l_departures, 10);  // the flood kept flowing around it
-  EXPECT_EQ(link.guard_events(), 0u);
+  EXPECT_EQ(q.qdisc->guard_events(), 0u);
 }
 
 }  // namespace

@@ -25,10 +25,10 @@ regen() {
   "$bin" --smoke --seed 1 --jobs 2 --json "$out" \
     --journal "$scratch/$name.journal" "$@" > /dev/null
 }
-regen fig_response fig_response.json
 # Every grid figure is a pi2_campaign spec; each baseline is named after
 # its spec.
-for spec in fig15_18 fig_overload fig_parking_lot fig_rtt_mix fig_resilience
+for spec in fig15_18 fig_overload fig_parking_lot fig_rtt_mix fig_resilience \
+  fig_response
 do
   regen pi2_campaign "$spec.json" --spec "$specs/$spec.json"
 done
