@@ -2,8 +2,8 @@
 // [12]/[13], later RFC 9332) — the deployment the single-queue paper builds
 // towards. Demonstrates the property the single queue cannot deliver:
 // Scalable traffic keeps sub-millisecond queuing delay while Classic traffic
-// gets its own 20 ms-target queue, with rate fairness preserved by the same
-// k = 2 coupling.
+// gets its own 20 ms-target queue. The footer reports the measured
+// Cubic/DCTCP rate ratio per link and says "within 2x" only when it is.
 //
 // Runs through the first-class scenario path (AqmType::kDualPi2 behind
 // run_dumbbell) rather than wiring the queue by hand, so the invariant
@@ -11,6 +11,7 @@
 // delay is recovered from the packet trace (Cubic departures sit in the C
 // band, DCTCP departures in L).
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "net/trace.hpp"
@@ -32,6 +33,8 @@ int main(int argc, char** argv) {
   const double rtt_ms = 10.0;
 
   bool healthy = true;
+  std::string ratios;
+  bool within_2x = true;
   for (const double link_mbps : {40.0, 120.0}) {
     scenario::DumbbellConfig cfg;
     cfg.link_rate_bps = link_mbps * 1e6;
@@ -68,6 +71,12 @@ int main(int argc, char** argv) {
 
     const double cubic_mbps = result.mean_goodput_mbps(tcp::CcType::kCubic);
     const double dctcp_mbps = result.mean_goodput_mbps(tcp::CcType::kDctcp);
+    const double ratio = dctcp_mbps > 0 ? cubic_mbps / dctcp_mbps : 0.0;
+    within_2x = within_2x && ratio >= 0.5 && ratio <= 2.0;
+    char entry[48];
+    std::snprintf(entry, sizeof entry, "%s%.3f (%.0f Mb/s)",
+                  ratios.empty() ? "" : ", ", ratio, link_mbps);
+    ratios += entry;
 
     std::printf("\n== link %.0f Mb/s, RTT %.0f ms ==\n", link_mbps, rtt_ms);
     std::printf("L queue delay [ms]: mean=%.3f p99=%.3f\n", l_delay_ms.mean(),
@@ -75,7 +84,7 @@ int main(int argc, char** argv) {
     std::printf("C queue delay [ms]: mean=%.3f p99=%.3f\n", c_delay_ms.mean(),
                 c_delay_ms.p99());
     std::printf("cubic=%.2f Mb/s dctcp=%.2f Mb/s ratio=%.3f\n", cubic_mbps,
-                dctcp_mbps, dctcp_mbps > 0 ? cubic_mbps / dctcp_mbps : 0.0);
+                dctcp_mbps, ratio);
     std::printf("marks: L=%lld C=%lld drops: C=%lld  (window)\n",
                 static_cast<long long>(result.window_band_l.marked),
                 static_cast<long long>(result.window_band_c.marked),
@@ -95,7 +104,11 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\n# expectation: the L (DCTCP) queue holds ~1 ms delay — an order of\n"
-      "# magnitude below the single queue's 20 ms — while rates stay within\n"
-      "# ~2x (the single-queue paper's fairness carried over to the DualQ).\n");
+      "# magnitude below the single queue's 20 ms.\n"
+      "# measured cubic/dctcp rate ratio: %s — %s\n",
+      ratios.c_str(),
+      within_2x ? "within 2x (the single-queue paper's fairness carried over)"
+                : "NOT within 2x: the single-queue fairness does not carry "
+                  "over here");
   return healthy ? 0 : 1;
 }

@@ -115,6 +115,27 @@ void timer_churn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 2);
 }
 
+/// The same churn with the timer re-armed through Scheduler::defer(): a
+/// later deadline rewrites the pending event's key instead of leaving a
+/// cancelled heap entry behind (the TcpSender::arm_rto pattern).
+void timer_defer(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    pi2::sim::Scheduler s;
+    pi2::sim::EventHandle pending{};
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (!s.defer(pending, Time{i + 1000})) {
+        pending = s.schedule_at(Time{i + 1000}, [&sink] { ++sink; });
+      }
+      s.schedule_at(Time{i}, [] {});
+    }
+    while (!s.empty()) s.run_next();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * n * 2);
+}
+
 void BM_ScheduleAndDrain(benchmark::State& state) {
   schedule_and_drain<pi2::sim::Scheduler>(state);
 }
@@ -129,6 +150,9 @@ void BM_TimerChurn(benchmark::State& state) {
   timer_churn<pi2::sim::Scheduler, pi2::sim::EventHandle>(state);
 }
 BENCHMARK(BM_TimerChurn)->Arg(1 << 10)->Arg(1 << 14);
+
+void BM_TimerDefer(benchmark::State& state) { timer_defer(state); }
+BENCHMARK(BM_TimerDefer)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_Legacy_TimerChurn(benchmark::State& state) {
   timer_churn<LegacyScheduler, LegacyHandle>(state);

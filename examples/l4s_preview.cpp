@@ -5,7 +5,8 @@
 // sub-millisecond queue while Cubic keeps its own 20 ms-target queue.
 //
 // This example runs the identical Cubic+DCTCP mix through both arrangements
-// and prints the delay each flow's packets actually experienced. The dual
+// and prints the delay each flow's packets actually experienced, and the
+// measured Cubic/DCTCP rate ratio of each arrangement. The dual
 // queue's per-band delays come from the packet trace: Cubic departures sit
 // in the C band, DCTCP departures in L.
 #include <cstdio>
@@ -39,11 +40,17 @@ scenario::DumbbellConfig mix(scenario::AqmType aqm) {
   return cfg;
 }
 
-void print_rates(const scenario::RunResult& r) {
-  std::printf("  rates: cubic %.1f, dctcp %.1f Mb/s\n",
-              r.mean_goodput_mbps(tcp::CcType::kCubic),
-              r.mean_goodput_mbps(tcp::CcType::kDctcp));
+/// Prints both rates and returns the Cubic/DCTCP ratio.
+double print_rates(const scenario::RunResult& r) {
+  const double cubic = r.mean_goodput_mbps(tcp::CcType::kCubic);
+  const double dctcp = r.mean_goodput_mbps(tcp::CcType::kDctcp);
+  const double ratio = dctcp > 0 ? cubic / dctcp : 0.0;
+  std::printf("  rates: cubic %.1f, dctcp %.1f Mb/s (ratio %.2f)\n", cubic,
+              dctcp, ratio);
+  return ratio;
 }
+
+bool within_2x(double ratio) { return ratio >= 0.5 && ratio <= 2.0; }
 
 }  // namespace
 
@@ -53,7 +60,7 @@ int main() {
   std::printf("Coupled PI2, single queue (the paper):\n");
   std::printf("  shared queue delay: mean %.2f ms, p99 %.2f ms\n",
               single.mean_qdelay_ms, single.p99_qdelay_ms);
-  print_rates(single);
+  const double single_ratio = print_rates(single);
 
   // Dual queue, with the departures traced for the per-band delays.
   auto cfg = mix(scenario::AqmType::kDualPi2);
@@ -73,10 +80,13 @@ int main() {
               l_ms.p99());
   std::printf("  cubic queue delay: mean %.2f ms, p99 %.2f ms\n", c_ms.mean(),
               c_ms.p99());
-  print_rates(dual);
+  const double dual_ratio = print_rates(dual);
 
   std::printf(
-      "\nSame coupling, same fairness — but the dual queue removes the\n"
-      "Classic queue's delay from the Scalable flow's path entirely.\n");
+      "\nSame k = 2 coupling; the dual queue removes the Classic queue's\n"
+      "delay from the Scalable flow's path. Cubic/DCTCP rate ratio: %.2f\n"
+      "single queue (%s), %.2f dual queue (%s).\n",
+      single_ratio, within_2x(single_ratio) ? "within 2x" : "NOT within 2x",
+      dual_ratio, within_2x(dual_ratio) ? "within 2x" : "NOT within 2x");
   return 0;
 }

@@ -1,10 +1,9 @@
 // Batched fixed-delay pipe: the O(buckets)-not-O(packets) ACK clock.
 //
-// A DelayPipe schedules one event per packet, and each event's lambda
-// captures the ~80-byte Packet by value — past UniqueFunction's inline
-// buffer, so every packet costs a heap allocation plus a scheduler node.
-// At 10⁵ flows the scheduler sees millions of such timers per simulated
-// second and the allocator dominates.
+// A DelayPipe (net/delay_pipe.hpp) delivers every packet at its exact time
+// with one event per packet, though only its FIFO head is in the scheduler
+// at once. At 10⁵ flows even that is millions of events per simulated
+// second.
 //
 // BatchDelayPipe quantizes due times onto a grid: packets whose delivery
 // falls in the same quantum share one scheduler event and one pooled slab.
@@ -14,12 +13,12 @@
 // slab is drained through the sink in arrival order and returned to the
 // pool — steady state runs with zero allocations and O(quanta) timers.
 //
-// quantum == 0 degenerates to exact per-packet delivery (every packet gets
-// its own batch), preserving DelayPipe timing bit-for-bit; with quantum > 0
-// delivery is deferred to the end of the quantum containing the exact due
-// time, bounding added latency by one quantum.
+// Delivery is deferred to the end of the quantum containing the exact due
+// time, bounding added latency by one quantum. The quantum must be positive:
+// exact timing is the DelayPipe's job.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -35,7 +34,9 @@ class BatchDelayPipe {
  public:
   BatchDelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay,
                  pi2::sim::Duration quantum, PacketSlabPool& pool)
-      : sim_(sim), delay_(delay), quantum_(quantum), pool_(pool) {}
+      : sim_(sim), delay_(delay), quantum_(quantum), pool_(pool) {
+    assert(quantum_.count() > 0);
+  }
 
   void set_sink(std::function<void(Packet)> sink) { sink_ = std::move(sink); }
   void set_delay(pi2::sim::Duration delay) { delay_ = delay; }
@@ -59,7 +60,6 @@ class BatchDelayPipe {
 
  private:
   [[nodiscard]] pi2::sim::Time quantize(pi2::sim::Time due) const {
-    if (quantum_.count() <= 0) return due;
     // Round up: a batch must never deliver before its packets' exact due
     // times (that would hand a receiver a packet from its own future).
     const std::int64_t q = quantum_.count();

@@ -149,14 +149,15 @@ void BottleneckLink::try_start_transmission() {
         from_seconds(static_cast<double>(packet.size) * 8.0 / packet_rate_bps());
     transmitting_ = true;
     transmitting_band_ = band;
-    sim_.after(tx_time, [this, packet, started]() mutable {
-      finish_transmission(std::move(packet), started);
-    });
+    tx_packet_ = packet;
+    sim_.after(tx_time, [this, started] { finish_transmission(started); });
     return;
   }
 }
 
-void BottleneckLink::finish_transmission(Packet packet, Time started) {
+void BottleneckLink::finish_transmission(Time started) {
+  // Copied out first: the sink may start the next transmission.
+  const Packet packet = tx_packet_;
   transmitting_ = false;
   ++counters_.forwarded;
   ++band_counters_[transmitting_band_].forwarded;

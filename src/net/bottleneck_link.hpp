@@ -201,7 +201,7 @@ class BottleneckLink final : public QueueView {
  private:
   void accept(Packet packet);  ///< post-filter path: AQM + buffer limit
   void try_start_transmission();
-  void finish_transmission(Packet packet, pi2::sim::Time started);
+  void finish_transmission(pi2::sim::Time started);
   void drop(const Packet& packet, DropReason reason);
   /// Capacity left for packets after the fluid tier's service share.
   [[nodiscard]] double packet_rate_bps() const;
@@ -225,32 +225,13 @@ class BottleneckLink final : public QueueView {
 #endif
   bool transmitting_ = false;
   std::size_t transmitting_band_ = 0;
+  /// The packet on the wire while transmitting_, kept here so the tx-done
+  /// event captures only `this` and its start time (no allocation).
+  Packet tx_packet_;
   Counters counters_;
   std::function<void(Packet)> sink_;
   std::function<IngressVerdict(Packet&)> ingress_filter_;
   ProbeBus probes_;
-};
-
-/// Fixed-delay pipe: models propagation (and the uncongested reverse path).
-class DelayPipe {
- public:
-  DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay)
-      : sim_(sim), delay_(delay) {}
-
-  void set_sink(std::function<void(Packet)> sink) { sink_ = std::move(sink); }
-  void set_delay(pi2::sim::Duration delay) { delay_ = delay; }
-  [[nodiscard]] pi2::sim::Duration delay() const { return delay_; }
-
-  void send(Packet packet) {
-    sim_.after(delay_, [this, packet]() mutable {
-      if (sink_) sink_(packet);
-    });
-  }
-
- private:
-  pi2::sim::Simulator& sim_;
-  pi2::sim::Duration delay_;
-  std::function<void(Packet)> sink_;
 };
 
 }  // namespace pi2::net

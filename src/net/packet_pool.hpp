@@ -1,9 +1,9 @@
 // Slab pool for Packet batches.
 //
-// The per-packet cost that dominates large-flow-count runs is not the queue
-// logic but the allocator: a delivery/ACK event that captures an ~80-byte
-// Packet in its lambda exceeds UniqueFunction's inline buffer and
-// heap-allocates, once per packet per hop. The BatchDelayPipe instead parks
+// At large flow counts the per-packet cost is not the queue logic but the
+// bookkeeping around each packet in flight: an event that captured the
+// Packet in its lambda would exceed UniqueFunction's inline buffer and
+// heap-allocate, once per packet per hop. The BatchDelayPipe instead parks
 // packets in pooled slabs (vectors recycled through a free list), so steady
 // state performs zero allocations on the packet path: a slab is acquired,
 // filled, flushed, and returned.

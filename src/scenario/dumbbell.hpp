@@ -105,8 +105,9 @@ struct DumbbellConfig {
   /// Integration/tick period of the fluid tier (one scheduler event per
   /// tick, shared by all fluid specs).
   pi2::sim::Duration fluid_dt = pi2::sim::from_millis(1);
-  /// ACK-clock batching quantum. 0 (default) schedules one event per packet
-  /// per propagation hop, exactly like always. > 0 routes the propagation
+  /// ACK-clock batching quantum. 0 (default) delivers every packet at its
+  /// exact time through DelayPipes (one event per packet per propagation
+  /// hop, one heap entry per pipe). > 0 routes the propagation
   /// hops through BatchDelayPipes: packets from all flows in the same RTT
   /// bucket whose delivery falls in the same quantum share one scheduler
   /// event and one pooled allocation, so the scheduler sees O(buckets ×

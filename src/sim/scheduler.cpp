@@ -19,13 +19,30 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->pending(slot_, generation_);
 }
 
-EventHandle Scheduler::schedule_at(Time at, UniqueFunction fn) {
+EventHandle Scheduler::schedule(EventKey key, UniqueFunction fn) {
   const std::uint32_t slot = allocate_slot();
-  const std::uint32_t generation = slots_[slot].generation;
-  slots_[slot].fn = std::move(fn);
-  heap_.push_back(Entry{at, next_seq_++, slot});
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.at = key.at;
+  s.seq = key.seq;
+  heap_.push_back(Entry{key.at, key.seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle{this, slot, generation};
+  return EventHandle{this, slot, s.generation};
+}
+
+bool Scheduler::defer(const EventHandle& handle, Time at) {
+  if (handle.scheduler_ != this || !pending(handle.slot_, handle.generation_)) {
+    return false;
+  }
+  Slot& s = slots_[handle.slot_];
+  if (at < s.at) {
+    cancel(handle.slot_, handle.generation_);
+    return false;
+  }
+  // The heap entry keeps its earlier key; skim() moves it when it surfaces.
+  s.at = at;
+  s.seq = next_seq_++;
+  return true;
 }
 
 std::uint32_t Scheduler::allocate_slot() {
@@ -58,6 +75,7 @@ void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
   // itself is skipped lazily or reclaimed by compaction.
   s.fn = UniqueFunction{};
   ++dead_;
+  ++cancelled_;
   maybe_compact();
 }
 
@@ -67,9 +85,21 @@ bool Scheduler::pending(std::uint32_t slot, std::uint32_t generation) const {
 }
 
 void Scheduler::skim() {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+  while (!heap_.empty()) {
+    const Entry& top = heap_.front();
+    const Slot& s = slots_[top.slot];
+    if (s.live && s.seq == top.seq) return;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    release_slot(heap_.back().slot);
+    Entry& entry = heap_.back();
+    if (s.live) {
+      // Deferred: the true key is later than the stale one, so re-inserting
+      // it under the true key is exact.
+      entry.at = s.at;
+      entry.seq = s.seq;
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+      continue;
+    }
+    release_slot(entry.slot);
     heap_.pop_back();
     --dead_;
   }
@@ -78,8 +108,13 @@ void Scheduler::skim() {
 void Scheduler::maybe_compact() {
   if (heap_.size() < kMinCompactionSize || dead_ * 2 < heap_.size()) return;
   auto is_dead = [this](const Entry& e) { return !slots_[e.slot].live; };
-  for (const Entry& e : heap_) {
-    if (is_dead(e)) release_slot(e.slot);
+  for (Entry& e : heap_) {
+    if (is_dead(e)) {
+      release_slot(e.slot);
+    } else {
+      e.at = slots_[e.slot].at;  // the heap is rebuilt anyway: drop stale keys
+      e.seq = slots_[e.slot].seq;
+    }
   }
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_dead), heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), Later{});

@@ -31,11 +31,7 @@ class Simulator {
   /// always a component bug; the time is clamped to now and counted in
   /// clamped_events() so harnesses can assert it never happens.
   EventHandle at(Time when, UniqueFunction fn) {
-    if (when < now_) {
-      ++clamped_;
-      when = now_;
-    }
-    return scheduler_.schedule_at(when, std::move(fn));
+    return scheduler_.schedule_at(clamp(when), std::move(fn));
   }
 
   /// Schedules `fn` after a relative delay. A negative delay targets the
@@ -44,6 +40,29 @@ class Simulator {
   /// absolute times in the past, and harnesses assert the counter stays 0.
   EventHandle after(Duration delay, UniqueFunction fn) {
     return at(now_ + delay, std::move(fn));
+  }
+
+  /// Reserves the key an `after(delay, ...)` call made now would get,
+  /// without scheduling anything; `at(key, fn)` later schedules under it.
+  /// Clamps and counts a negative delay like `after()`.
+  EventKey reserve(Duration delay) {
+    return EventKey{clamp(now_ + delay), scheduler_.reserve_seq()};
+  }
+
+  /// Schedules `fn` under a key from `reserve()`. The key's time must not
+  /// be in the past (clamped and counted like `at(Time, ...)`).
+  EventHandle at(EventKey key, UniqueFunction fn) {
+    key.at = clamp(key.at);
+    return scheduler_.schedule(key, std::move(fn));
+  }
+
+  /// Re-arms a pending timer to fire `delay` from now, as if it had been
+  /// cancelled and scheduled afresh with `after(delay, ...)`. Returns false
+  /// — the timer is then cancelled or was not pending — when the new time
+  /// is earlier than the armed one; the caller schedules afresh. A later
+  /// deadline costs no heap work (Scheduler::defer).
+  bool defer(const EventHandle& timer, Duration delay) {
+    return scheduler_.defer(timer, clamp(now_ + delay));
   }
 
   /// Runs events until the event queue is empty or `until` is reached.
@@ -80,6 +99,15 @@ class Simulator {
   static constexpr std::uint64_t kStopPollInterval = 1024;
 
   [[nodiscard]] bool should_stop();
+
+  /// Maps a time in the past to now, counting it in clamped_events().
+  Time clamp(Time when) {
+    if (when < now_) {
+      ++clamped_;
+      return now_;
+    }
+    return when;
+  }
 
   Time now_ = kTimeZero;
   Scheduler scheduler_;

@@ -75,8 +75,12 @@ Duration TcpSender::rto() const {
 }
 
 void TcpSender::arm_rto() {
-  rto_timer_.cancel();
-  rto_timer_ = sim_.after(rto(), [this] { on_rto(); });
+  // Every new ACK re-arms the timer; pushing the deadline later is a key
+  // rewrite, not a cancelled heap entry per ACK.
+  const Duration timeout = rto();
+  if (!sim_.defer(rto_timer_, timeout)) {
+    rto_timer_ = sim_.after(timeout, [this] { on_rto(); });
+  }
 }
 
 void TcpSender::on_rto() {
@@ -225,10 +229,11 @@ void TcpReceiver::on_data(const net::Packet& data) {
     ++unacked_segments_;
     if (unacked_segments_ < options_.ack_every) {
       pending_sent_at_ = data.sent_at;
-      delack_timer_.cancel();
-      delack_timer_ = sim_.after(options_.delack_timeout, [this] {
-        emit_ack(/*ce_echo=*/false, pending_sent_at_);
-      });
+      if (!sim_.defer(delack_timer_, options_.delack_timeout)) {
+        delack_timer_ = sim_.after(options_.delack_timeout, [this] {
+          emit_ack(/*ce_echo=*/false, pending_sent_at_);
+        });
+      }
       return;
     }
   }

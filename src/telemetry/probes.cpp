@@ -55,6 +55,9 @@ void attach_simulator_probes(MetricsRegistry& registry, const sim::Simulator& si
   registry.gauge("sim.sched_compactions", [&sim] {
     return static_cast<double>(sim.scheduler().compactions());
   });
+  registry.gauge("sim.sched_cancelled", [&sim] {
+    return static_cast<double>(sim.scheduler().cancelled());
+  });
 }
 
 }  // namespace pi2::telemetry

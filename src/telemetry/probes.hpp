@@ -29,7 +29,7 @@ void attach_link_probes(MetricsRegistry& registry, net::BottleneckLink& link);
 void attach_aqm_probes(MetricsRegistry& registry, const net::QueueDiscipline& qdisc);
 
 /// Simulator/scheduler state: events executed, clamped schedules, heap
-/// occupancy and compaction count.
+/// occupancy, compaction count and events cancelled before firing.
 void attach_simulator_probes(MetricsRegistry& registry, const sim::Simulator& sim);
 
 }  // namespace pi2::telemetry

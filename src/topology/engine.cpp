@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "durable/status.hpp"
 #include "faults/fault_presets.hpp"
 #include "net/batch_pipe.hpp"
+#include "net/delay_pipe.hpp"
 #include "net/packet_pool.hpp"
 #include "net/trace.hpp"
 #include "scenario/wiring.hpp"
@@ -161,27 +161,57 @@ TopologyResult run_topology(const TopologyConfig& config) {
     flows.sender(ack.flow)->on_ack(ack);
   };
 
-  // ACK-clock batching (config.ack_quantum > 0): the final propagation hop
-  // and the ACK return run through BatchDelayPipes bucketed by half-RTT, so
-  // same-quantum packets share one scheduler event and one pooled slab.
-  // With quantum == 0 every packet keeps its own exactly-timed event.
+  // Propagation pipes. Each half-RTT bucket owns a [data, ack] pair at
+  // consecutive indices (the final hop and the ACK return); `pipe_of_flow`
+  // holds the data pipe's index. With config.ack_quantum == 0 they are
+  // exact DelayPipes: one scheduler event for each pipe's head, each packet
+  // delayed by its flow's current half RTT. With ack_quantum > 0 they are
+  // BatchDelayPipes, so same-quantum packets share one scheduler event and
+  // one pooled slab. Only the kind in use is built. Deques: stable refs as
+  // buckets appear.
   const bool batched = config.ack_quantum > Duration{0};
   net::PacketSlabPool slab_pool;
-  std::deque<net::BatchDelayPipe> data_pipes;  // deque: stable refs as buckets appear
-  std::deque<net::BatchDelayPipe> ack_pipes;
-  std::unordered_map<std::int64_t, std::size_t> bucket_by_half_rtt;
-  std::vector<std::size_t> bucket_of_flow;
+  std::deque<net::BatchDelayPipe> batch_pipes;
+  // Multi-link runs put one inter-link hop line per link first (index li).
+  std::deque<net::DelayPipe> lines;
+  std::vector<std::pair<Duration, std::size_t>> buckets;
+  std::vector<std::size_t> pipe_of_flow;
   auto bucket_for = [&](Duration half_rtt) {
-    const auto [it, inserted] =
-        bucket_by_half_rtt.try_emplace(half_rtt.count(), data_pipes.size());
-    if (inserted) {
-      data_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
-      data_pipes.back().set_sink(deliver_data);
-      ack_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
-      ack_pipes.back().set_sink(deliver_ack);
+    for (const auto& [bucket_half_rtt, pipe] : buckets) {
+      if (bucket_half_rtt == half_rtt) return pipe;
     }
-    return it->second;
+    if (batched) {
+      buckets.emplace_back(half_rtt, batch_pipes.size());
+      batch_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
+      batch_pipes.back().set_sink(deliver_data);
+      batch_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
+      batch_pipes.back().set_sink(deliver_ack);
+    } else {
+      buckets.emplace_back(half_rtt, lines.size());
+      lines.emplace_back(sim, half_rtt).set_sink(deliver_data);
+      lines.emplace_back(sim, half_rtt).set_sink(deliver_ack);
+    }
+    return buckets.back().second;
   };
+
+  // The link after `li` on the packet's route, or nullptr after the last.
+  auto next_link = [&links, &route_links,
+                    &route_of_flow](const net::Packet& packet,
+                                    std::uint32_t li) -> net::BottleneckLink* {
+    const std::vector<std::uint32_t>& route =
+        route_links[route_of_flow[static_cast<std::size_t>(packet.flow)]];
+    std::size_t hop = 0;
+    while (hop < route.size() && route[hop] != li) ++hop;
+    return hop + 1 < route.size() ? links[route[hop + 1]].link.get() : nullptr;
+  };
+  if (!single_link) {
+    for (std::uint32_t li = 0; li < n_links; ++li) {
+      lines.emplace_back(sim, config.links[li].delay)
+          .set_sink([&next_link, li](net::Packet packet) {
+            next_link(packet, li)->send(std::move(packet));
+          });
+    }
+  }
 
   // Forward path. After an intermediate hop, the packet propagates the
   // link's `delay` to the next queue on its route; after the *final* hop it
@@ -190,30 +220,22 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // to exactly the legacy path).
   for (std::uint32_t li = 0; li < n_links; ++li) {
     LinkRuntime& rt = links[li];
-    rt.link->set_sink([&rt, &sim, &flows, &links, &config, &route_links,
-                       &route_of_flow, &deliver_data, &data_pipes,
-                       &bucket_of_flow, batched, li](net::Packet packet) {
+    rt.link->set_sink([&rt, &sim, &flows, &next_link, &lines, &batch_pipes,
+                       &pipe_of_flow, batched, li](net::Packet packet) {
       if (!flows.contains(packet.flow)) return;
       rt.pkt_bytes_this_tick += packet.size;
       rt.total_meter.add_bytes(sim.now(), packet.size);
-      const std::vector<std::uint32_t>& route =
-          route_links[route_of_flow[static_cast<std::size_t>(packet.flow)]];
-      std::size_t hop = 0;
-      while (hop < route.size() && route[hop] != li) ++hop;
-      if (hop + 1 < route.size()) {
-        net::BottleneckLink& next = *links[route[hop + 1]].link;
-        sim.after(config.links[li].delay, [&next, packet]() mutable {
-          next.send(std::move(packet));
-        });
+      if (next_link(packet, li) != nullptr) {
+        lines[li].send(std::move(packet));
         return;
       }
+      const std::size_t pipe = pipe_of_flow[static_cast<std::size_t>(packet.flow)];
       if (batched) {
-        data_pipes[bucket_of_flow[static_cast<std::size_t>(packet.flow)]].send(
-            std::move(packet));
+        batch_pipes[pipe].send(std::move(packet));
         return;
       }
-      sim.after(flows.half_rtt(packet.flow),
-                [&deliver_data, packet] { deliver_data(packet); });
+      const Duration delay = flows.half_rtt(packet.flow);
+      lines[pipe].send(std::move(packet), delay);
     });
   }
 
@@ -229,7 +251,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     const std::int32_t flow_id =
         flows.add_tcp(spec.cc, spec.base_rtt, std::move(sender),
                       std::move(receiver));
-    bucket_of_flow.push_back(batched ? bucket_for(spec.base_rtt / 2) : 0);
+    pipe_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
 
     net::BottleneckLink& first = *links[route_links[route][0]].link;
@@ -239,18 +261,16 @@ TopologyResult run_topology(const TopologyConfig& config) {
         [&flows, flow_id, &sim](const net::Packet& p) {
           flows.goodput(flow_id).add_bytes(sim.now(), p.size);
         });
+    const std::size_t ack_pipe = pipe_of_flow.back() + 1;
     if (batched) {
       flows.receiver(flow_id)->set_ack_path(
-          [&ack_pipes, &bucket_of_flow, flow_id](net::Packet ack) {
-            ack_pipes[bucket_of_flow[static_cast<std::size_t>(flow_id)]].send(
-                std::move(ack));
+          [&pipe = batch_pipes[ack_pipe]](net::Packet ack) {
+            pipe.send(std::move(ack));
           });
     } else {
       flows.receiver(flow_id)->set_ack_path(
-          [&flows, flow_id, &sim](net::Packet ack) {
-            sim.after(flows.half_rtt(flow_id), [&flows, flow_id, ack] {
-              flows.sender(flow_id)->on_ack(ack);
-            });
+          [&line = lines[ack_pipe], &flows, flow_id](net::Packet ack) {
+            line.send(std::move(ack), flows.half_rtt(flow_id));
           });
     }
 
@@ -269,7 +289,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     uc.ecn = spec.ecn;
     auto udp = std::make_unique<tcp::UdpSender>(sim, uc);
     const std::int32_t flow_id = flows.add_udp(spec.base_rtt, std::move(udp));
-    bucket_of_flow.push_back(batched ? bucket_for(spec.base_rtt / 2) : 0);
+    pipe_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
     net::BottleneckLink& first = *links[route_links[route][0]].link;
     flows.udp(flow_id)->set_output(
@@ -416,11 +436,11 @@ TopologyResult run_topology(const TopologyConfig& config) {
         sim, config.links[li].faults, injector_seed);
     if (single_link) {
       rt.injector->set_rtt_setter(
-          [&flows, &data_pipes, &ack_pipes](Duration rtt) {
+          [&flows, &batch_pipes](Duration rtt) {
             flows.set_all_base_rtt(rtt);
-            // RTT steps apply to every flow, so every half-RTT bucket moves.
-            for (net::BatchDelayPipe& pipe : data_pipes) pipe.set_delay(rtt / 2);
-            for (net::BatchDelayPipe& pipe : ack_pipes) pipe.set_delay(rtt / 2);
+            // RTT steps apply to every flow, so every half-RTT bucket moves
+            // (delay lines read the flows' half RTTs per packet).
+            for (net::BatchDelayPipe& pipe : batch_pipes) pipe.set_delay(rtt / 2);
           });
     } else {
       // Per-link RTT step: applies to the flows routed across this link.

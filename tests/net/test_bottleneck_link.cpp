@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "net/delay_pipe.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::net {
 namespace {
 
+using pi2::sim::Duration;
+using pi2::sim::from_millis;
 using pi2::sim::from_seconds;
 using pi2::sim::Simulator;
 using pi2::sim::Time;
@@ -211,6 +215,73 @@ TEST(DelayPipe, PreservesOrderForEqualDelays) {
   }
   sim.run();
   EXPECT_EQ(seqs, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+}
+
+/// Sends packet i at i ms with delays that grow, repeat and shrink, beside
+/// marker events that tie with the deliveries; logs (id, time) of every
+/// delivery (id >= 0) and marker (id < 0). `send` is the delay mechanism.
+template <typename Send>
+std::vector<std::pair<std::int64_t, Time>> log_with_shrinking_delays(Send send) {
+  const std::vector<int> delays_ms{10, 10, 4, 4, 12, 3, 3, 20, 1, 15, 15, 2};
+  Simulator sim;
+  std::vector<std::pair<std::int64_t, Time>> log;
+  const auto deliver = [&log, &sim](const Packet& p) {
+    log.emplace_back(p.seq, sim.now());
+  };
+  for (std::size_t i = 0; i < delays_ms.size(); ++i) {
+    const auto id = static_cast<std::int64_t>(i);
+    sim.at(from_millis(static_cast<double>(i)), [&, id, i] {
+      Packet p;
+      p.seq = id;
+      send(sim, deliver, std::move(p), from_millis(delays_ms[i]));
+      sim.after(from_millis(4), [&log, &sim, id] {
+        log.emplace_back(-1 - id, sim.now());
+      });
+    });
+  }
+  sim.run();
+  return log;
+}
+
+TEST(DelayPipe, ShrinkingDelayMatchesPerPacketEvents) {
+  std::unique_ptr<DelayPipe> pipe;
+  const auto via_pipe = log_with_shrinking_delays(
+      [&pipe](Simulator& sim, const auto& deliver, Packet p, Duration d) {
+        if (!pipe) {
+          pipe = std::make_unique<DelayPipe>(sim, Duration{});
+          pipe->set_sink([deliver](Packet q) { deliver(q); });
+        }
+        pipe->send(std::move(p), d);
+      });
+  const auto via_events = log_with_shrinking_delays(
+      [](Simulator& sim, const auto& deliver, Packet p, Duration d) {
+        sim.after(d, [deliver, p] { deliver(p); });
+      });
+  EXPECT_EQ(via_pipe.size(), 24u);
+  EXPECT_EQ(via_pipe, via_events);
+}
+
+TEST(DelayPipe, ConstantDelayHoldsOneHeapEntry) {
+  Simulator sim;
+  DelayPipe pipe{sim, from_millis(50)};
+  std::vector<std::int64_t> seqs;
+  pipe.set_sink([&](Packet p) { seqs.push_back(p.seq); });
+  constexpr int kPackets = 100;
+  for (int i = 0; i < kPackets; ++i) {
+    sim.at(from_millis(0.1 * i), [&pipe, i] {
+      Packet p;
+      p.seq = i;
+      pipe.send(p);
+    });
+  }
+  sim.run_until(from_millis(20));
+  EXPECT_EQ(pipe.queued(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(sim.scheduler().live_size(), 1u);
+  EXPECT_EQ(sim.scheduler().heap_size(), 1u);
+  sim.run();
+  ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) EXPECT_EQ(seqs[i], i);
+  EXPECT_EQ(sim.events_executed(), 2u * kPackets);  // sends + deliveries
 }
 
 }  // namespace

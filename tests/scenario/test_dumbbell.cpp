@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "core/pi2.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/sampler.hpp"
 
@@ -274,6 +275,31 @@ TEST(AqmFactory, NamesAreUnique) {
     names.insert(to_string(type));
   }
   EXPECT_EQ(names.size(), 8u);
+}
+
+TEST(SchedulerWork, CancelledEventsStayUnderOnePercentOfForwarded) {
+  // Deterministic work gate: re-arming the RTO on every ACK must not leave
+  // a cancelled scheduler event behind (it used to: about one per ACK).
+  DumbbellConfig cfg;
+  cfg.link_rate_bps = 200e6;
+  cfg.aqm.type = AqmType::kCoupledPi2;
+  cfg.duration = Time{seconds{5}};
+  cfg.stats_start = Time{seconds{1}};
+  for (const tcp::CcType cc : {tcp::CcType::kCubic, tcp::CcType::kDctcp}) {
+    TcpFlowSpec flow;
+    flow.cc = cc;
+    flow.count = 10;
+    flow.base_rtt = from_millis(20);
+    cfg.tcp_flows.push_back(flow);
+  }
+  telemetry::MetricsRegistry registry;
+  cfg.registry = &registry;
+  run_dumbbell(cfg);
+  const double forwarded = registry.gauge("link.forwarded").value();
+  const double cancelled = registry.gauge("sim.sched_cancelled").value();
+  ASSERT_GT(forwarded, 50'000.0);
+  EXPECT_LE(cancelled, 0.01 * forwarded)
+      << cancelled << " cancelled events for " << forwarded << " forwarded packets";
 }
 
 }  // namespace
