@@ -1,25 +1,34 @@
-// Shared per-point builders for every pi2_campaign template (dumbbell
-// sweep, overload, parking lot, RTT mix, resilience, capacity-step
-// response): scenario config construction, the printed table row, the
-// --json record, the health predicates and each figure's closing footer.
-// bench/pi2_campaign dispatches a spec's points onto these; perfbench
-// replays the resilience ones, so its records match the driver's bytes.
+// The pi2_campaign templates (dumbbell sweep, overload, parking lot, RTT
+// mix, resilience, capacity-step response), one TemplateDescriptor each:
+// the scenario config builder and run call, the table header and row, the
+// ok --json record's field list, the health predicate and the cross-point
+// hook (headline, gate, expectation footer). bench/pi2_campaign looks the
+// descriptor up once per campaign and writes every record's framing
+// itself; perfbench replays the resilience points through
+// resilience_json_record, so its records match the driver's bytes.
 //
-// Format strings here are the committed golden baselines' schema; change
-// them only together with tests/golden/*.json.
+// Field lists and formats here are the committed golden baselines' schema;
+// change them only together with tests/golden/*.json.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "bench_common.hpp"
+#include "campaign/record.hpp"
+#include "campaign/spec.hpp"
 #include "durable/atomic_file.hpp"
 #include "durable/journal.hpp"
+#include "durable/shutdown.hpp"
 #include "faults/fault_presets.hpp"
 #include "runner/parallel_runner.hpp"
 #include "stats/percentile.hpp"
@@ -34,6 +43,8 @@ inline const char* aqm_label(scenario::AqmType aqm) {
 
 /// Escapes error messages and paths embedded in JSON records.
 using durable::json_escape;
+using campaign::RecordFields;
+using campaign::write_record;
 
 namespace detail {
 /// Per-point telemetry run id: the artifacts of point i are named
@@ -80,117 +91,81 @@ inline bool machinery_healthy(const scenario::RunResult& result) {
          result.guard_events == 0;
 }
 
-// ---- dumbbell sweep (Figures 15-18: link rate x RTT, PIE vs coupled PI2) --
+// ---- the descriptor --------------------------------------------------------
 
-/// One table row carrying every column Figures 15-18 report: per-cc
-/// goodput and their ratio (Fig. 15), queue delay (Fig. 16), Classic and
-/// Scalable signal probability (Fig. 17) and the utilization spread of the
-/// 1 s samples after `stats_start` (Fig. 18).
-inline void dumbbell_print_header() {
-  std::printf("%-14s %-16s %-10s %-8s %-8s %-8s %-8s %-8s %-8s %-23s %-23s "
-              "%s\n",
-              "aqm", "mix", "link[Mbps]", "rtt[ms]", "cubic", "other",
-              "ratio", "qdelay", "p99", "classic% p25/mean/p99",
-              "scalable% p25/mean/p99", "util% P1/mean/P99");
+/// One point as a template sees it: the expansion's fixed parameters and
+/// the point's axis values, looked up by axis name.
+struct PointView {
+  const campaign::Expansion& x;
+  const campaign::CampaignPoint& p;
+
+  [[nodiscard]] const std::string& text(const std::string& axis) const {
+    return x.text(p, axis);
+  }
+  [[nodiscard]] double num(const std::string& axis) const {
+    return x.number(p, axis);
+  }
+  [[nodiscard]] scenario::AqmType aqm() const {
+    return aqm_from_name(text("aqm"));
+  }
+};
+
+/// What the driver resolves before any point runs.
+struct TemplateInputs {
+  Options opts;  ///< the shared flags (dumbbell_sweep durations)
+  /// dumbbell_sweep background tiers (--packet/--fluid-background).
+  int packet_background = 0;
+  int fluid_background = 0;
+  /// Every fault_schedule axis value, resolved once by the driver's
+  /// preflight, so lookups from `run` are total.
+  std::map<std::string, faults::FaultSchedule> schedules;
+};
+
+/// Everything that differs per template. `run` is called on worker
+/// threads; every other member on the driver's thread, in point order.
+struct TemplateDescriptor {
+  /// The table's caption and column header.
+  std::function<void(const campaign::Expansion&)> print_header;
+  /// Builds the point's config and runs it; `recorder` may be null.
+  std::function<scenario::RunResult(const PointView&, telemetry::Recorder*)>
+      run;
+  std::function<void(const PointView&, const scenario::RunResult&)> print_row;
+  /// The ok record's fields after "index" and "status".
+  std::function<void(const PointView&, const scenario::RunResult&,
+                     RecordFields&)>
+      fields;
+  /// Per-point health; prints its own diagnostics.
+  std::function<bool(const PointView&, const scenario::RunResult&)> healthy;
+  /// Cross-point hook: sees every ok point (empty = none).
+  std::function<void(const PointView&, const scenario::RunResult&)> record{};
+  /// Closes the table of a whole grid; `healthy` is false once any point
+  /// failed or was unhealthy (empty = no footer).
+  std::function<void(bool healthy)> footer{};
+  /// Cross-point gate over a whole grid, checked after the points-ok line;
+  /// false fails the campaign (empty = none).
+  std::function<bool()> gate{};
+};
+
+/// Runs one point's config under the shutdown flag, with the point's
+/// telemetry recorder when it has one.
+template <typename Config>
+scenario::RunResult run_config(Config cfg, telemetry::Recorder* recorder) {
+  cfg.stop = durable::ShutdownController::flag();
+  if (recorder != nullptr) cfg.recorder = recorder;
+  if constexpr (std::is_same_v<Config, topology::TopologyConfig>) {
+    return topology::to_run_result(topology::run_topology(cfg));
+  } else {
+    return scenario::run_dumbbell(cfg);
+  }
 }
+
+// ---- dumbbell sweep (Figures 15-18: link rate x RTT, PIE vs coupled PI2) --
 
 /// Cubic-to-other goodput ratio of a point (0 when the other flow starved).
 inline double dumbbell_ratio(const scenario::RunResult& result, MixKind mix) {
   const double other = result.mean_goodput_mbps(other_cc(mix));
   return other > 0 ? result.mean_goodput_mbps(tcp::CcType::kCubic) / other
                    : 0.0;
-}
-
-inline void dumbbell_print_row(scenario::AqmType aqm, MixKind mix,
-                               double link_mbps, double rtt_ms,
-                               sim::Time stats_start,
-                               const scenario::RunResult& result) {
-  const auto& classic = result.classic_prob_samples;
-  const auto& scalable = result.scalable_prob_samples;
-  stats::PercentileSampler util;
-  for (const auto& point : result.utilization_series.points()) {
-    if (point.t >= stats_start) util.add(point.value);
-  }
-  std::printf(
-      "%-14s %-16s %-10g %-8g %-8.2f %-8.2f %-8.3f %-8.2f %-8.2f "
-      "%7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %5.1f %5.1f %5.1f\n",
-      aqm_label(aqm), to_string(mix), link_mbps, rtt_ms,
-      result.mean_goodput_mbps(tcp::CcType::kCubic),
-      result.mean_goodput_mbps(other_cc(mix)), dumbbell_ratio(result, mix),
-      result.mean_qdelay_ms, result.p99_qdelay_ms, classic.p25() * 100.0,
-      classic.mean() * 100.0, classic.p99() * 100.0, scalable.p25() * 100.0,
-      scalable.mean() * 100.0, scalable.p99() * 100.0, util.p01() * 100.0,
-      result.utilization * 100.0, util.p99() * 100.0);
-}
-
-/// `with_background` adds "background_mbps" (aggregate goodput of the Reno
-/// background tier, packet or fluid); a non-empty `manifest_path` adds the
-/// point's "telemetry_manifest". Both are off in the committed baselines,
-/// so those keep their exact field set.
-inline void dumbbell_json_record(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, scenario::AqmType aqm,
-                                 MixKind mix, double link_mbps, double rtt_ms,
-                                 std::uint64_t seed, bool with_background,
-                                 const std::string& manifest_path,
-                                 const scenario::RunResult& result) {
-  const auto& c = result.window_counters;
-  json.printf(
-      "%s\n"
-      "  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-      "\"mix\": \"%s\", "
-      "\"link_mbps\": %g, \"rtt_ms\": %g, \"seed\": %llu, "
-      "\"mean_qdelay_ms\": %.6g, \"p99_qdelay_ms\": %.6g, "
-      "\"utilization\": %.6g, \"signal_rate\": %.6g, "
-      "\"cubic_mbps\": %.6g, \"other_mbps\": %.6g, "
-      "\"enqueued\": %lld, \"forwarded\": %lld, \"aqm_dropped\": %lld, "
-      "\"tail_dropped\": %lld, \"marked\": %lld, "
-      "\"events_executed\": %llu, \"clamped_events\": %llu, "
-      "\"invariant_violations\": %llu, \"guard_events\": %llu",
-      first ? "" : ",", index, aqm_label(aqm), to_string(mix), link_mbps,
-      rtt_ms, static_cast<unsigned long long>(seed), result.mean_qdelay_ms,
-      result.p99_qdelay_ms, result.utilization, result.observed_signal_rate(),
-      result.mean_goodput_mbps(tcp::CcType::kCubic),
-      result.mean_goodput_mbps(other_cc(mix)),
-      static_cast<long long>(c.enqueued), static_cast<long long>(c.forwarded),
-      static_cast<long long>(c.aqm_dropped),
-      static_cast<long long>(c.tail_dropped), static_cast<long long>(c.marked),
-      static_cast<unsigned long long>(result.events_executed),
-      static_cast<unsigned long long>(result.clamped_events),
-      static_cast<unsigned long long>(result.violations.size()),
-      static_cast<unsigned long long>(result.guard_events));
-  if (with_background) {
-    // The background load is Reno at either engine tier (bench_common
-    // mix_config); the aggregate rate is the mean-field quantity the two
-    // renderings must agree on, so the fluid golden gates it directly.
-    double background_mbps = 0.0;
-    for (const auto& flow : result.flows) {
-      if (flow.cc == tcp::CcType::kReno && !flow.is_udp) {
-        background_mbps += flow.goodput_mbps * flow.count;
-      }
-    }
-    json.printf(", \"background_mbps\": %.6g", background_mbps);
-  }
-  if (!manifest_path.empty()) {
-    json.printf(", \"telemetry_manifest\": \"%s\"",
-                json_escape(manifest_path).c_str());
-  }
-  json.write("}");
-  first = false;
-}
-
-inline void dumbbell_json_failed(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, runner::TaskStatus status,
-                                 scenario::AqmType aqm, MixKind mix,
-                                 double link_mbps, double rtt_ms,
-                                 const std::string& message) {
-  json.printf(
-      "%s\n"
-      "  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\", "
-      "\"mix\": \"%s\", \"link_mbps\": %g, \"rtt_ms\": %g, "
-      "\"error\": \"%s\"}",
-      first ? "" : ",", index, runner::to_string(status), aqm_label(aqm),
-      to_string(mix), link_mbps, rtt_ms, json_escape(message).c_str());
-  first = false;
 }
 
 /// Figure 15's headline over the grid: PI2's worst-case Cubic/DCTCP
@@ -227,6 +202,115 @@ inline constexpr const char* kDumbbellExpectation =
     "# scalable probability is ~2*sqrt(classic), well above it.\n"
     "# expectation: utilization >90% across the grid for both AQMs.\n";
 
+/// One table row carries every column Figures 15-18 report: per-cc goodput
+/// and their ratio (Fig. 15), queue delay (Fig. 16), Classic and Scalable
+/// signal probability (Fig. 17) and the utilization spread of the 1 s
+/// samples after the stats start (Fig. 18). With a background tier the
+/// record adds "background_mbps"; the committed baselines run without one,
+/// so they keep their exact field set.
+inline TemplateDescriptor dumbbell_template(const TemplateInputs& in) {
+  const auto headline = std::make_shared<DumbbellHeadline>();
+  const bool with_background =
+      in.packet_background > 0 || in.fluid_background > 0;
+  return {
+      .print_header = [](const campaign::Expansion&) {
+        std::printf("%-14s %-16s %-10s %-8s %-8s %-8s %-8s %-8s %-8s "
+                    "%-23s %-23s %s\n",
+                    "aqm", "mix", "link[Mbps]", "rtt[ms]", "cubic",
+                    "other", "ratio", "qdelay", "p99",
+                    "classic% p25/mean/p99", "scalable% p25/mean/p99",
+                    "util% P1/mean/P99");
+      },
+      .run = [in](const PointView& v, telemetry::Recorder* recorder) {
+        // Durations come from the shared flags, the background tiers
+        // from the driver's; the seed is the campaign's own.
+        auto cfg = mix_config(v.aqm(), mix_from_name(v.text("cc_mix")),
+                              v.num("rate_mbps"), v.num("rtt_ms"), in.opts,
+                              in.packet_background, in.fluid_background);
+        cfg.seed = v.p.seed;
+        return run_config(std::move(cfg), recorder);
+      },
+      .print_row = [window_start = stats_start(in.opts)](
+          const PointView& v, const scenario::RunResult& r) {
+        // Violations are reported but not fatal: Figures 15-18 have no
+        // machinery gate.
+        if (!r.violations.empty()) {
+          std::printf("!! point %zu: %llu invariant violation(s), see "
+                      "JSON\n",
+                      v.p.index,
+                      static_cast<unsigned long long>(r.violations.size()));
+        }
+        const MixKind mix = mix_from_name(v.text("cc_mix"));
+        const auto& classic = r.classic_prob_samples;
+        const auto& scalable = r.scalable_prob_samples;
+        stats::PercentileSampler util;
+        for (const auto& point : r.utilization_series.points()) {
+          if (point.t >= window_start) util.add(point.value);
+        }
+        std::printf(
+            "%-14s %-16s %-10g %-8g %-8.2f %-8.2f %-8.3f %-8.2f %-8.2f "
+            "%7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %5.1f %5.1f %5.1f\n",
+            aqm_label(v.aqm()), to_string(mix), v.num("rate_mbps"),
+            v.num("rtt_ms"), r.mean_goodput_mbps(tcp::CcType::kCubic),
+            r.mean_goodput_mbps(other_cc(mix)), dumbbell_ratio(r, mix),
+            r.mean_qdelay_ms, r.p99_qdelay_ms, classic.p25() * 100.0,
+            classic.mean() * 100.0, classic.p99() * 100.0,
+            scalable.p25() * 100.0, scalable.mean() * 100.0,
+            scalable.p99() * 100.0, util.p01() * 100.0,
+            r.utilization * 100.0, util.p99() * 100.0);
+      },
+      .fields = [with_background](const PointView& v,
+                                  const scenario::RunResult& r,
+                                  RecordFields& f) {
+        const MixKind mix = mix_from_name(v.text("cc_mix"));
+        const auto& c = r.window_counters;
+        f.add("aqm", aqm_label(v.aqm()))
+            .add("mix", to_string(mix))
+            .add("link_mbps", v.num("rate_mbps"))
+            .add("rtt_ms", v.num("rtt_ms"))
+            .add("seed", v.p.seed)
+            .add("mean_qdelay_ms", r.mean_qdelay_ms)
+            .add("p99_qdelay_ms", r.p99_qdelay_ms)
+            .add("utilization", r.utilization)
+            .add("signal_rate", r.observed_signal_rate())
+            .add("cubic_mbps", r.mean_goodput_mbps(tcp::CcType::kCubic))
+            .add("other_mbps", r.mean_goodput_mbps(other_cc(mix)))
+            .add("enqueued", c.enqueued)
+            .add("forwarded", c.forwarded)
+            .add("aqm_dropped", c.aqm_dropped)
+            .add("tail_dropped", c.tail_dropped)
+            .add("marked", c.marked)
+            .add("events_executed", r.events_executed)
+            .add("clamped_events", r.clamped_events)
+            .add("invariant_violations", r.violations.size())
+            .add("guard_events", r.guard_events);
+        if (!with_background) return;
+        // The background load is Reno at either engine tier (mix_config);
+        // the aggregate rate is the mean-field quantity the two
+        // renderings must agree on, so the fluid golden gates it.
+        double background_mbps = 0.0;
+        for (const auto& flow : r.flows) {
+          if (flow.cc == tcp::CcType::kReno && !flow.is_udp) {
+            background_mbps += flow.goodput_mbps * flow.count;
+          }
+        }
+        f.add("background_mbps", background_mbps);
+      },
+      .healthy = [](const PointView&, const scenario::RunResult&) {
+        return true;
+      },
+      .record = [headline](const PointView& v, const scenario::RunResult& r) {
+        const MixKind mix = mix_from_name(v.text("cc_mix"));
+        headline->record(v.aqm(), mix, dumbbell_ratio(r, mix));
+      },
+      .footer = [headline](bool) {
+        std::printf("\n");
+        headline->print();
+        std::fputs(kDumbbellExpectation, stdout);
+      },
+  };
+}
+
 // ---- overload (RFC 9332 §4.2 UDP floods vs DualPI2) ------------------------
 
 inline scenario::DumbbellConfig overload_config(net::Ecn ecn, double udp_mult,
@@ -261,60 +345,6 @@ inline scenario::DumbbellConfig overload_config(net::Ecn ecn, double udp_mult,
   return cfg;
 }
 
-inline void overload_print_row(const char* ecn_name, double udp_mult,
-                               const scenario::RunResult& result) {
-  const auto& l = result.window_band_l;
-  const auto& c = result.window_band_c;
-  std::printf(
-      "%-9s %-9.2f %-7.2f %-7.2f %-7.2f %-9.2f %-9.2f %5lld/%-5lld "
-      "%5lld/%-5lld %4lld/%-4lld %-7llu\n",
-      ecn_name, udp_mult, result.mean_goodput_mbps(tcp::CcType::kCubic),
-      result.mean_goodput_mbps(tcp::CcType::kDctcp),
-      result.mean_udp_goodput_mbps(), result.mean_qdelay_ms,
-      result.p99_qdelay_ms, static_cast<long long>(l.marked),
-      static_cast<long long>(l.aqm_dropped), static_cast<long long>(c.marked),
-      static_cast<long long>(c.aqm_dropped),
-      static_cast<long long>(l.tail_dropped),
-      static_cast<long long>(c.tail_dropped),
-      static_cast<unsigned long long>(result.guard_events));
-}
-
-inline void overload_json_record(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, const char* ecn_name,
-                                 std::uint64_t seed, double link_mbps,
-                                 double rtt_ms, double udp_mult,
-                                 const scenario::RunResult& result) {
-  const auto& l = result.window_band_l;
-  const auto& c = result.window_band_c;
-  json.printf(
-      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"ecn\": \"%s\", "
-      "\"seed\": %llu, \"link_mbps\": %.6g, \"rtt_ms\": %.6g, "
-      "\"udp_mult\": %.6g, "
-      "\"cubic_mbps\": %.6g, \"dctcp_mbps\": %.6g, \"udp_mbps\": %.6g, "
-      "\"utilization\": %.6g, \"mean_qdelay_ms\": %.6g, "
-      "\"p99_qdelay_ms\": %.6g, "
-      "\"l_enqueued\": %lld, \"l_marked\": %lld, \"l_dropped\": %lld, "
-      "\"l_tail_dropped\": %lld, "
-      "\"c_enqueued\": %lld, \"c_marked\": %lld, \"c_dropped\": %lld, "
-      "\"c_tail_dropped\": %lld, "
-      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
-      first ? "" : ",", index, ecn_name,
-      static_cast<unsigned long long>(seed), link_mbps, rtt_ms, udp_mult,
-      result.mean_goodput_mbps(tcp::CcType::kCubic),
-      result.mean_goodput_mbps(tcp::CcType::kDctcp),
-      result.mean_udp_goodput_mbps(), result.utilization,
-      result.mean_qdelay_ms, result.p99_qdelay_ms,
-      static_cast<long long>(l.enqueued), static_cast<long long>(l.marked),
-      static_cast<long long>(l.aqm_dropped),
-      static_cast<long long>(l.tail_dropped),
-      static_cast<long long>(c.enqueued), static_cast<long long>(c.marked),
-      static_cast<long long>(c.aqm_dropped),
-      static_cast<long long>(c.tail_dropped),
-      static_cast<unsigned long long>(result.violations.size()),
-      static_cast<unsigned long long>(result.guard_events));
-  first = false;
-}
-
 inline constexpr const char* kOverloadExpectation =
     "# expectation: floods above 1x lose their excess to drops (Not-ECT) or "
     "to the\n"
@@ -323,14 +353,76 @@ inline constexpr const char* kOverloadExpectation =
     "# the Classic queue's delay stays governed by the PI target, not the "
     "buffer.\n";
 
-inline void overload_json_failed(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, runner::TaskStatus status,
-                                 const char* ecn_name, double udp_mult) {
-  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", "
-              "\"ecn\": \"%s\", \"udp_mult\": %.3g}",
-              first ? "" : ",", index, runner::to_string(status), ecn_name,
-              udp_mult);
-  first = false;
+inline TemplateDescriptor overload_template() {
+  return {
+      .print_header = [](const campaign::Expansion& x) {
+        std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 "
+                    "UDP sender, mix = 1 Cubic + 1 DCTCP\n",
+                    x.link_mbps, x.rtt_ms, x.duration_s);
+        std::printf(
+            "%-9s %-9s %-7s %-7s %-7s %-9s %-9s %-11s %-11s %-9s %-7s\n",
+            "ecn", "udp_mult", "cubic", "dctcp", "udp", "qdelay", "p99",
+            "L mark/drop", "C mark/drop", "tail L/C", "guards");
+      },
+      .run = [](const PointView& v, telemetry::Recorder* recorder) {
+        return run_config(
+            overload_config(ecn_from_name(v.text("ecn")),
+                            v.num("udp_mult"), v.x.link_mbps, v.x.rtt_ms,
+                            v.x.duration_s, v.x.stats_start_s, v.p.seed),
+            recorder);
+      },
+      .print_row = [](const PointView& v, const scenario::RunResult& r) {
+        const auto& l = r.window_band_l;
+        const auto& c = r.window_band_c;
+        std::printf(
+            "%-9s %-9.2f %-7.2f %-7.2f %-7.2f %-9.2f %-9.2f %5lld/%-5lld "
+            "%5lld/%-5lld %4lld/%-4lld %-7llu\n",
+            v.text("ecn").c_str(), v.num("udp_mult"),
+            r.mean_goodput_mbps(tcp::CcType::kCubic),
+            r.mean_goodput_mbps(tcp::CcType::kDctcp),
+            r.mean_udp_goodput_mbps(), r.mean_qdelay_ms, r.p99_qdelay_ms,
+            static_cast<long long>(l.marked),
+            static_cast<long long>(l.aqm_dropped),
+            static_cast<long long>(c.marked),
+            static_cast<long long>(c.aqm_dropped),
+            static_cast<long long>(l.tail_dropped),
+            static_cast<long long>(c.tail_dropped),
+            static_cast<unsigned long long>(r.guard_events));
+      },
+      .fields = [](const PointView& v, const scenario::RunResult& r,
+                   RecordFields& f) {
+        const auto& l = r.window_band_l;
+        const auto& c = r.window_band_c;
+        f.add("ecn", v.text("ecn"))
+            .add("seed", v.p.seed)
+            .add("link_mbps", v.x.link_mbps)
+            .add("rtt_ms", v.x.rtt_ms)
+            .add("udp_mult", v.num("udp_mult"))
+            .add("cubic_mbps", r.mean_goodput_mbps(tcp::CcType::kCubic))
+            .add("dctcp_mbps", r.mean_goodput_mbps(tcp::CcType::kDctcp))
+            .add("udp_mbps", r.mean_udp_goodput_mbps())
+            .add("utilization", r.utilization)
+            .add("mean_qdelay_ms", r.mean_qdelay_ms)
+            .add("p99_qdelay_ms", r.p99_qdelay_ms)
+            .add("l_enqueued", l.enqueued)
+            .add("l_marked", l.marked)
+            .add("l_dropped", l.aqm_dropped)
+            .add("l_tail_dropped", l.tail_dropped)
+            .add("c_enqueued", c.enqueued)
+            .add("c_marked", c.marked)
+            .add("c_dropped", c.aqm_dropped)
+            .add("c_tail_dropped", c.tail_dropped)
+            .add("invariant_violations", r.violations.size())
+            .add("guard_events", r.guard_events);
+      },
+      .healthy = [](const PointView&, const scenario::RunResult& r) {
+        return machinery_healthy(r);
+      },
+      .footer = [](bool) {
+        std::printf("\n");
+        std::fputs(kOverloadExpectation, stdout);
+      },
+  };
 }
 
 // ---- parking lot (long flow vs per-hop cross flows) ------------------------
@@ -401,84 +493,90 @@ inline ParkingSummary parking_summary(const scenario::RunResult& result,
   return s;
 }
 
-inline void parking_print_row(const char* aqm_name, int hops,
-                              const ParkingSummary& s,
-                              const scenario::RunResult& result) {
-  char qdelay_col[64] = "";
-  char marks_col[64] = "";
-  std::size_t q_at = 0;
-  std::size_t m_at = 0;
-  for (const auto& link : result.links) {
-    q_at += static_cast<std::size_t>(std::snprintf(
-        qdelay_col + q_at, sizeof(qdelay_col) - q_at, "%s%.2f",
-        q_at == 0 ? "" : "/", link.mean_qdelay_ms));
-    m_at += static_cast<std::size_t>(std::snprintf(
-        marks_col + m_at, sizeof(marks_col) - m_at, "%s%lld",
-        m_at == 0 ? "" : "/",
-        static_cast<long long>(link.counters.marked +
-                               link.counters.aqm_dropped)));
-  }
-  std::printf("%-12s %-5d %-7.2f %-7.2f %-7.2f %-8.3f %-21s %-21s\n",
-              aqm_name, hops, s.long_mbps, s.cross_mbps, s.ratio, s.util_min,
-              qdelay_col, marks_col);
-}
-
-inline void parking_json_record(durable::AtomicFile& json, bool& first,
-                                std::size_t index, const char* aqm_name,
-                                int hops, std::uint64_t seed, double link_mbps,
-                                double rtt_ms, const ParkingSummary& s,
-                                const scenario::RunResult& result) {
-  json.printf(
-      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-      "\"hops\": %d, \"seed\": %llu, \"link_mbps\": %.6g, "
-      "\"rtt_ms\": %.6g, "
-      "\"long_mbps\": %.6g, \"cross_mbps\": %.6g, \"ratio\": %.6g, "
-      "\"util_min\": %.6g",
-      first ? "" : ",", index, aqm_name, hops,
-      static_cast<unsigned long long>(seed), link_mbps, rtt_ms, s.long_mbps,
-      s.cross_mbps, s.ratio, s.util_min);
-  for (std::size_t h = 0; h < result.links.size(); ++h) {
-    const auto& link = result.links[h];
-    json.printf(
-        ", \"hop%zu_qdelay_ms\": %.6g, \"hop%zu_marked\": %lld, "
-        "\"hop%zu_dropped\": %lld",
-        h, link.mean_qdelay_ms, h,
-        static_cast<long long>(link.counters.marked), h,
-        static_cast<long long>(link.counters.aqm_dropped));
-  }
-  json.printf(", \"invariant_violations\": %llu, "
-              "\"guard_events\": %llu}",
-              static_cast<unsigned long long>(result.violations.size()),
-              static_cast<unsigned long long>(result.guard_events));
-  first = false;
-}
-
 inline constexpr const char* kParkingExpectation =
     "# expectation: the ratio column sits near 1.0 at one hop and falls "
     "below 1.0\n"
     "# beyond it — the long flow pays every hop's marking while each cross "
     "flow pays one.\n";
 
-inline void parking_json_failed(durable::AtomicFile& json, bool& first,
-                                std::size_t index, runner::TaskStatus status,
-                                const char* aqm_name, int hops) {
-  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", "
-              "\"aqm\": \"%s\", \"hops\": %d}",
-              first ? "" : ",", index, runner::to_string(status), aqm_name,
-              hops);
-  first = false;
-}
-
-/// Headline check: beyond one hop the long flow must not out-throughput the
-/// cross flows. Prints the diagnostic and returns false when violated.
-inline bool parking_check_headline(int hops, const ParkingSummary& s) {
-  if (hops > 1 && s.long_mbps >= s.cross_mbps) {
-    std::printf("# UNHEALTHY: long flow (%.2f Mb/s) >= cross mean "
-                "(%.2f Mb/s) over %d hops\n",
-                s.long_mbps, s.cross_mbps, hops);
-    return false;
-  }
-  return true;
+inline TemplateDescriptor parking_lot_template() {
+  return {
+      .print_header = [](const campaign::Expansion& x) {
+        std::printf("# chain of 10 Mb/s links, RTT %.0f ms, %.0f s/run; 1 "
+                    "long Cubic + 1 Cubic cross flow per hop\n",
+                    x.rtt_ms, x.duration_s);
+        std::printf("%-12s %-5s %-7s %-7s %-7s %-8s %-21s %-21s\n", "aqm",
+                    "hops", "long", "cross", "ratio", "util",
+                    "qdelay/hop (ms)", "signals/hop");
+      },
+      .run = [](const PointView& v, telemetry::Recorder* recorder) {
+        return run_config(
+            parking_lot_config(v.aqm(), static_cast<int>(v.num("hops")),
+                               v.x.link_mbps, v.x.rtt_ms, v.x.duration_s,
+                               v.x.stats_start_s, v.p.seed),
+            recorder);
+      },
+      .print_row = [](const PointView& v, const scenario::RunResult& r) {
+        const int hops = static_cast<int>(v.num("hops"));
+        const ParkingSummary s = parking_summary(r, hops);
+        char qdelay_col[64] = "";
+        char marks_col[64] = "";
+        std::size_t q_at = 0;
+        std::size_t m_at = 0;
+        for (const auto& link : r.links) {
+          q_at += static_cast<std::size_t>(std::snprintf(
+              qdelay_col + q_at, sizeof(qdelay_col) - q_at, "%s%.2f",
+              q_at == 0 ? "" : "/", link.mean_qdelay_ms));
+          m_at += static_cast<std::size_t>(std::snprintf(
+              marks_col + m_at, sizeof(marks_col) - m_at, "%s%lld",
+              m_at == 0 ? "" : "/",
+              static_cast<long long>(link.counters.marked +
+                                     link.counters.aqm_dropped)));
+        }
+        std::printf("%-12s %-5d %-7.2f %-7.2f %-7.2f %-8.3f %-21s %-21s\n",
+                    v.text("aqm").c_str(), hops, s.long_mbps, s.cross_mbps,
+                    s.ratio, s.util_min, qdelay_col, marks_col);
+      },
+      .fields = [](const PointView& v, const scenario::RunResult& r,
+                   RecordFields& f) {
+        const int hops = static_cast<int>(v.num("hops"));
+        const ParkingSummary s = parking_summary(r, hops);
+        f.add("aqm", v.text("aqm"))
+            .add("hops", hops)
+            .add("seed", v.p.seed)
+            .add("link_mbps", v.x.link_mbps)
+            .add("rtt_ms", v.x.rtt_ms)
+            .add("long_mbps", s.long_mbps)
+            .add("cross_mbps", s.cross_mbps)
+            .add("ratio", s.ratio)
+            .add("util_min", s.util_min);
+        for (std::size_t h = 0; h < r.links.size(); ++h) {
+          const std::string hop = "hop" + std::to_string(h);
+          f.add(hop + "_qdelay_ms", r.links[h].mean_qdelay_ms)
+              .add(hop + "_marked", r.links[h].counters.marked)
+              .add(hop + "_dropped", r.links[h].counters.aqm_dropped);
+        }
+        f.add("invariant_violations", r.violations.size())
+            .add("guard_events", r.guard_events);
+      },
+      // Beyond one hop the long flow must not out-throughput the cross
+      // flows.
+      .healthy = [](const PointView& v, const scenario::RunResult& r) {
+        const int hops = static_cast<int>(v.num("hops"));
+        const ParkingSummary s = parking_summary(r, hops);
+        if (hops > 1 && s.long_mbps >= s.cross_mbps) {
+          std::printf("# UNHEALTHY: long flow (%.2f Mb/s) >= cross mean "
+                      "(%.2f Mb/s) over %d hops\n",
+                      s.long_mbps, s.cross_mbps, hops);
+          return false;
+        }
+        return machinery_healthy(r);
+      },
+      .footer = [](bool) {
+        std::printf("\n");
+        std::fputs(kParkingExpectation, stdout);
+      },
+  };
 }
 
 // ---- RTT mix (10/50/100 ms branches sharing one bottleneck) ----------------
@@ -559,64 +657,73 @@ inline RttMixSummary rtt_mix_summary(const scenario::RunResult& result) {
   return s;
 }
 
-inline void rtt_mix_print_row(const char* aqm_name, const RttMixSummary& s,
-                              const scenario::RunResult& result) {
-  std::printf("%-12s %-8.2f %-8.2f %-8.2f %-9.2f %-6.3f %-8.2f %-8.2f\n",
-              aqm_name, s.branch_mbps[0], s.branch_mbps[1], s.branch_mbps[2],
-              s.ratio, s.jain, result.mean_qdelay_ms, result.p99_qdelay_ms);
-}
-
-inline void rtt_mix_json_record(durable::AtomicFile& json, bool& first,
-                                std::size_t index, const char* aqm_name,
-                                std::uint64_t seed, double link_mbps,
-                                const RttMixSummary& s,
-                                const scenario::RunResult& result) {
-  json.printf(
-      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-      "\"seed\": %llu, \"link_mbps\": %.6g, "
-      "\"rtt10_mbps\": %.6g, \"rtt50_mbps\": %.6g, "
-      "\"rtt100_mbps\": %.6g, \"ratio_10_100\": %.6g, "
-      "\"jain\": %.6g, \"utilization\": %.6g, "
-      "\"mean_qdelay_ms\": %.6g, \"p99_qdelay_ms\": %.6g, "
-      "\"marked\": %lld, \"aqm_dropped\": %lld, "
-      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
-      first ? "" : ",", index, aqm_name,
-      static_cast<unsigned long long>(seed), link_mbps, s.branch_mbps[0],
-      s.branch_mbps[1], s.branch_mbps[2], s.ratio, s.jain, result.utilization,
-      result.mean_qdelay_ms, result.p99_qdelay_ms,
-      static_cast<long long>(result.counters.marked),
-      static_cast<long long>(result.counters.aqm_dropped),
-      static_cast<unsigned long long>(result.violations.size()),
-      static_cast<unsigned long long>(result.guard_events));
-  first = false;
-}
-
 inline constexpr const char* kRttMixExpectation =
     "# expectation: short-RTT branches out-throughput long ones (ratio > 1); "
     "the AQMs\n"
     "# differ in how far Jain's index falls and where the queue delay "
     "settles.\n";
 
-inline void rtt_mix_json_failed(durable::AtomicFile& json, bool& first,
-                                std::size_t index, runner::TaskStatus status,
-                                const char* aqm_name) {
-  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\"}",
-              first ? "" : ",", index, runner::to_string(status), aqm_name);
-  first = false;
-}
-
-/// Liveness check: every branch must get a share. Prints the starved-branch
-/// diagnostics and returns false when violated.
-inline bool rtt_mix_check_branches(const RttMixSummary& s) {
-  bool ok = true;
-  for (std::size_t b = 0; b < kBranches; ++b) {
-    if (s.branch_mbps[b] <= 0.0) {
-      std::printf("# UNHEALTHY: branch %zu starved (%.3f Mb/s)\n", b,
-                  s.branch_mbps[b]);
-      ok = false;
-    }
-  }
-  return ok;
+inline TemplateDescriptor rtt_mix_template() {
+  return {
+      .print_header = [](const campaign::Expansion& x) {
+        std::printf("# bottleneck %.0f Mb/s; per branch: 1 Cubic + 1 DCTCP "
+                    "at 10/50/100 ms base RTT, %.0f s/run\n",
+                    x.link_mbps, x.duration_s);
+        std::printf("%-12s %-8s %-8s %-8s %-9s %-6s %-8s %-8s\n", "aqm",
+                    "b10", "b50", "b100", "r10/100", "jain", "qdelay",
+                    "p99");
+      },
+      .run = [](const PointView& v, telemetry::Recorder* recorder) {
+        return run_config(
+            rtt_mix_config(v.aqm(), v.x.link_mbps, v.x.duration_s,
+                           v.x.stats_start_s, v.p.seed),
+            recorder);
+      },
+      .print_row = [](const PointView& v, const scenario::RunResult& r) {
+        const RttMixSummary s = rtt_mix_summary(r);
+        std::printf(
+            "%-12s %-8.2f %-8.2f %-8.2f %-9.2f %-6.3f %-8.2f %-8.2f\n",
+            v.text("aqm").c_str(), s.branch_mbps[0], s.branch_mbps[1],
+            s.branch_mbps[2], s.ratio, s.jain, r.mean_qdelay_ms,
+            r.p99_qdelay_ms);
+      },
+      .fields = [](const PointView& v, const scenario::RunResult& r,
+                   RecordFields& f) {
+        const RttMixSummary s = rtt_mix_summary(r);
+        f.add("aqm", v.text("aqm"))
+            .add("seed", v.p.seed)
+            .add("link_mbps", v.x.link_mbps)
+            .add("rtt10_mbps", s.branch_mbps[0])
+            .add("rtt50_mbps", s.branch_mbps[1])
+            .add("rtt100_mbps", s.branch_mbps[2])
+            .add("ratio_10_100", s.ratio)
+            .add("jain", s.jain)
+            .add("utilization", r.utilization)
+            .add("mean_qdelay_ms", r.mean_qdelay_ms)
+            .add("p99_qdelay_ms", r.p99_qdelay_ms)
+            .add("marked", r.counters.marked)
+            .add("aqm_dropped", r.counters.aqm_dropped)
+            .add("invariant_violations", r.violations.size())
+            .add("guard_events", r.guard_events);
+      },
+      // Liveness: every branch must get a share.
+      .healthy = [](const PointView&, const scenario::RunResult& r) {
+        const RttMixSummary s = rtt_mix_summary(r);
+        bool ok = machinery_healthy(r);
+        for (std::size_t b = 0; b < kBranches; ++b) {
+          if (s.branch_mbps[b] <= 0.0) {
+            std::printf("# UNHEALTHY: branch %zu starved (%.3f Mb/s)\n", b,
+                        s.branch_mbps[b]);
+            ok = false;
+          }
+        }
+        return ok;
+      },
+      .footer = [](bool) {
+        std::printf("\n");
+        std::fputs(kRttMixExpectation, stdout);
+      },
+  };
 }
 
 // ---- resilience (fault presets x fluid background vs recovery time) --------
@@ -667,76 +774,48 @@ inline scenario::DumbbellConfig resilience_config(
   return cfg;
 }
 
-inline void resilience_print_row(const char* aqm_name, const char* fault,
-                                 double fluid_flows,
-                                 const scenario::RunResult& result) {
+/// The resilience record's fields, shared by the template and
+/// resilience_json_record.
+inline void resilience_fields(RecordFields& f, std::string_view aqm_name,
+                              std::string_view fault, double fluid_flows,
+                              std::uint64_t seed, double link_mbps,
+                              double rtt_ms,
+                              const scenario::RunResult& result) {
   const stats::ResilienceReport& rr = result.resilience;
-  std::printf(
-      "%-12s %-16s %-8.0f %-8.2f %-8.2f %-8.2f %-8.2f %-8.2f %-7.3f "
-      "%llu/%llu\n",
-      aqm_name, fault, fluid_flows, rr.worst_recovery_s, rr.mean_recovery_s,
-      rr.peak_qdelay_ms, rr.post_fault_delta_ms, result.mean_qdelay_ms,
-      result.utilization,
-      static_cast<unsigned long long>(rr.violations_in_window),
-      static_cast<unsigned long long>(rr.violations_outside));
+  f.add("aqm", aqm_name)
+      .add("fault", fault)
+      .add("fluid_flows", fluid_flows)
+      .add("seed", seed)
+      .add("link_mbps", link_mbps)
+      .add("rtt_ms", rtt_ms)
+      .add("windows", rr.windows)
+      .add("recovered_windows", rr.recovered_windows)
+      .add("worst_recovery_s", rr.worst_recovery_s)
+      .add("mean_recovery_s", rr.mean_recovery_s)
+      .add("peak_qdelay_ms", rr.peak_qdelay_ms)
+      .add("post_fault_delta_ms", rr.post_fault_delta_ms)
+      .add("mean_qdelay_ms", result.mean_qdelay_ms)
+      .add("p99_qdelay_ms", result.p99_qdelay_ms)
+      .add("utilization", result.utilization)
+      .add("fault_dropped", result.counters.fault_dropped)
+      .add("violations_in_window", rr.violations_in_window)
+      .add("violations_outside", rr.violations_outside)
+      .add("invariant_violations", result.violations.size())
+      .add("guard_events", result.guard_events);
 }
 
+/// One resilience ok record, for callers that run the template's points
+/// without the driver (perfbench); the bytes match the driver's.
 inline void resilience_json_record(durable::AtomicFile& json, bool& first,
                                    std::size_t index, const char* aqm_name,
                                    const char* fault, double fluid_flows,
                                    std::uint64_t seed, double link_mbps,
                                    double rtt_ms,
                                    const scenario::RunResult& result) {
-  const stats::ResilienceReport& rr = result.resilience;
-  json.printf(
-      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-      "\"fault\": \"%s\", \"fluid_flows\": %.6g, \"seed\": %llu, "
-      "\"link_mbps\": %.6g, \"rtt_ms\": %.6g, "
-      "\"windows\": %llu, \"recovered_windows\": %llu, "
-      "\"worst_recovery_s\": %.6g, \"mean_recovery_s\": %.6g, "
-      "\"peak_qdelay_ms\": %.6g, \"post_fault_delta_ms\": %.6g, "
-      "\"mean_qdelay_ms\": %.6g, \"p99_qdelay_ms\": %.6g, "
-      "\"utilization\": %.6g, \"fault_dropped\": %lld, "
-      "\"violations_in_window\": %llu, \"violations_outside\": %llu, "
-      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
-      first ? "" : ",", index, aqm_name, fault, fluid_flows,
-      static_cast<unsigned long long>(seed), link_mbps, rtt_ms,
-      static_cast<unsigned long long>(rr.windows),
-      static_cast<unsigned long long>(rr.recovered_windows),
-      rr.worst_recovery_s, rr.mean_recovery_s, rr.peak_qdelay_ms,
-      rr.post_fault_delta_ms, result.mean_qdelay_ms, result.p99_qdelay_ms,
-      result.utilization, static_cast<long long>(result.counters.fault_dropped),
-      static_cast<unsigned long long>(rr.violations_in_window),
-      static_cast<unsigned long long>(rr.violations_outside),
-      static_cast<unsigned long long>(result.violations.size()),
-      static_cast<unsigned long long>(result.guard_events));
-  first = false;
-}
-
-inline void resilience_json_failed(durable::AtomicFile& json, bool& first,
-                                   std::size_t index, runner::TaskStatus status,
-                                   const char* aqm_name, const char* fault,
-                                   double fluid_flows) {
-  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\", "
-              "\"fault\": \"%s\", \"fluid_flows\": %.6g}",
-              first ? "" : ",", index, runner::to_string(status), aqm_name,
-              fault, fluid_flows);
-  first = false;
-}
-
-/// Per-point machinery gate for faulted runs: clamp/guard trips stay fatal,
-/// but invariant violations are only fatal *outside* a fault window or its
-/// recovery transient (the analyzer's in/out split).
-inline bool resilience_machinery_healthy(const scenario::RunResult& result) {
-  if (result.clamped_events != 0 || result.guard_events != 0) return false;
-  if (result.resilience.violations_outside != 0) {
-    std::printf("# UNHEALTHY: %llu invariant violation(s) outside any fault "
-                "window\n",
-                static_cast<unsigned long long>(
-                    result.resilience.violations_outside));
-    return false;
-  }
-  return true;
+  RecordFields fields;
+  resilience_fields(fields, aqm_name, fault, fluid_flows, seed, link_mbps,
+                    rtt_ms, result);
+  write_record(json, first, index, "ok", fields);
 }
 
 /// Cross-point gate for the paper's robustness headline: on every fault
@@ -786,6 +865,67 @@ struct ResilienceGate {
     return ok;
   }
 };
+
+inline TemplateDescriptor resilience_template(const TemplateInputs& in) {
+  const auto gate = std::make_shared<ResilienceGate>();
+  return {
+      .print_header = [](const campaign::Expansion& x) {
+        std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; mix = 1 "
+                    "Cubic + 1 DCTCP, fluid Reno background; recovery band "
+                    "= 2x AQM target, hold 1 s (-1 = never reconverged)\n",
+                    x.link_mbps, x.rtt_ms, x.duration_s);
+        std::printf("%-12s %-16s %-8s %-8s %-8s %-8s %-8s %-8s %-7s %s\n",
+                    "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
+                    "delta", "qdelay", "util", "viol i/o");
+      },
+      .run = [schedules = in.schedules](const PointView& v,
+                                 telemetry::Recorder* recorder) {
+        return run_config(
+            resilience_config(v.aqm(),
+                              schedules.at(v.text("fault_schedule")),
+                              v.num("fluid_flows"), v.x.link_mbps,
+                              v.x.rtt_ms, v.x.duration_s,
+                              v.x.stats_start_s, v.p.seed),
+            recorder);
+      },
+      .print_row = [](const PointView& v, const scenario::RunResult& r) {
+        const stats::ResilienceReport& rr = r.resilience;
+        std::printf(
+            "%-12s %-16s %-8.0f %-8.2f %-8.2f %-8.2f %-8.2f %-8.2f %-7.3f "
+            "%llu/%llu\n",
+            v.text("aqm").c_str(), v.text("fault_schedule").c_str(),
+            v.num("fluid_flows"), rr.worst_recovery_s, rr.mean_recovery_s,
+            rr.peak_qdelay_ms, rr.post_fault_delta_ms, r.mean_qdelay_ms,
+            r.utilization,
+            static_cast<unsigned long long>(rr.violations_in_window),
+            static_cast<unsigned long long>(rr.violations_outside));
+      },
+      .fields = [](const PointView& v, const scenario::RunResult& r,
+                   RecordFields& f) {
+        resilience_fields(f, v.text("aqm"), v.text("fault_schedule"),
+                          v.num("fluid_flows"), v.p.seed, v.x.link_mbps,
+                          v.x.rtt_ms, r);
+      },
+      // Clamp/guard trips stay fatal, but invariant violations are only
+      // fatal *outside* a fault window or its recovery transient.
+      .healthy = [](const PointView&, const scenario::RunResult& r) {
+        if (r.clamped_events != 0 || r.guard_events != 0) return false;
+        if (r.resilience.violations_outside != 0) {
+          std::printf("# UNHEALTHY: %llu invariant violation(s) outside "
+                      "any fault window\n",
+                      static_cast<unsigned long long>(
+                          r.resilience.violations_outside));
+          return false;
+        }
+        return true;
+      },
+      .record = [gate](const PointView& v, const scenario::RunResult& r) {
+        gate->record(v.text("fault_schedule"), v.text("aqm"),
+                     r.resilience.worst_recovery_s);
+      },
+      .gate = [gate] { return gate->check(); },
+  };
+}
 
 // ---- response (section 4.4: 4x capacity step, PI2 vs PIE) ----------------
 
@@ -859,65 +999,6 @@ inline ResponseSummary response_summary(const ResponseWindow& w,
   return s;
 }
 
-inline void response_print_row(scenario::AqmType aqm, const ResponseSummary& s,
-                               const scenario::RunResult& result) {
-  std::printf("%-14s %-16.2f %-16.2f %-12.1f %-12llu %-8llu\n",
-              aqm_label(aqm), s.settle_drop_s, s.settle_rise_s,
-              s.peak_qdelay_ms,
-              static_cast<unsigned long long>(result.violations.size()),
-              static_cast<unsigned long long>(result.guard_events));
-}
-
-inline void response_json_record(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, scenario::AqmType aqm,
-                                 std::uint64_t seed, const ResponseSummary& s,
-                                 const scenario::RunResult& result) {
-  json.printf(
-      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
-      "\"seed\": %llu, "
-      "\"settle_drop_s\": %.6g, \"settle_rise_s\": %.6g, "
-      "\"peak_qdelay_ms\": %.6g, \"mean_qdelay_ms\": %.6g, "
-      "\"utilization\": %.6g, "
-      "\"events_executed\": %llu, \"clamped_events\": %llu, "
-      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
-      first ? "" : ",", index, aqm_label(aqm),
-      static_cast<unsigned long long>(seed), s.settle_drop_s,
-      s.settle_rise_s, s.peak_qdelay_ms, result.mean_qdelay_ms,
-      result.utilization,
-      static_cast<unsigned long long>(result.events_executed),
-      static_cast<unsigned long long>(result.clamped_events),
-      static_cast<unsigned long long>(result.violations.size()),
-      static_cast<unsigned long long>(result.guard_events));
-  first = false;
-}
-
-inline void response_json_failed(durable::AtomicFile& json, bool& first,
-                                 std::size_t index, runner::TaskStatus status,
-                                 scenario::AqmType aqm) {
-  json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\"}",
-              first ? "" : ",", index, runner::to_string(status),
-              aqm_label(aqm));
-  first = false;
-}
-
-/// The machinery gate: the injector must apply both rate steps, and the run
-/// must see no invariant violation and no clamped event. Whether and when
-/// a run settles is the experiment's finding (short smoke windows may never
-/// settle), not a health question.
-inline bool response_machinery_healthy(scenario::AqmType aqm,
-                                       const scenario::RunResult& result) {
-  bool ok = true;
-  if (result.fault_counters.rate_changes != 2) {
-    std::printf("!! %s: expected 2 rate changes, injector applied %llu\n",
-                aqm_label(aqm),
-                static_cast<unsigned long long>(
-                    result.fault_counters.rate_changes));
-    ok = false;
-  }
-  if (!result.violations.empty() || result.clamped_events != 0) ok = false;
-  return ok;
-}
-
 /// The section 4.4 headline: PI2's linearized law keeps its gain right at
 /// high p, so it re-converges after the drop at least as fast as PIE.
 struct ResponseHeadline {
@@ -938,5 +1019,92 @@ struct ResponseHeadline {
                                          : "PIE faster here");
   }
 };
+
+inline TemplateDescriptor response_template() {
+  const auto headline = std::make_shared<ResponseHeadline>();
+  return {
+      .print_header = [](const campaign::Expansion& x) {
+        const ResponseWindow w = response_window(x.duration_s);
+        std::printf("# step down at %.1f s, step up at %.1f s; settle = "
+                    "qdelay held <= %.0f ms for %.1f s\n",
+                    w.down_s, w.up_s, w.band_ms, w.hold_s);
+        std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
+                    "settle_drop[s]", "settle_rise[s]", "peak[ms]",
+                    "invariants", "guards");
+      },
+      .run = [](const PointView& v, telemetry::Recorder* recorder) {
+        return run_config(
+            response_config(v.aqm(), v.x.link_mbps, v.x.rtt_ms,
+                            response_window(v.x.duration_s),
+                            v.x.stats_start_s, v.p.seed),
+            recorder);
+      },
+      .print_row = [](const PointView& v, const scenario::RunResult& r) {
+        const ResponseSummary s =
+            response_summary(response_window(v.x.duration_s), r);
+        std::printf("%-14s %-16.2f %-16.2f %-12.1f %-12llu %-8llu\n",
+                    aqm_label(v.aqm()), s.settle_drop_s, s.settle_rise_s,
+                    s.peak_qdelay_ms,
+                    static_cast<unsigned long long>(r.violations.size()),
+                    static_cast<unsigned long long>(r.guard_events));
+      },
+      .fields = [](const PointView& v, const scenario::RunResult& r,
+                   RecordFields& f) {
+        const ResponseSummary s =
+            response_summary(response_window(v.x.duration_s), r);
+        f.add("aqm", aqm_label(v.aqm()))
+            .add("seed", v.p.seed)
+            .add("settle_drop_s", s.settle_drop_s)
+            .add("settle_rise_s", s.settle_rise_s)
+            .add("peak_qdelay_ms", s.peak_qdelay_ms)
+            .add("mean_qdelay_ms", r.mean_qdelay_ms)
+            .add("utilization", r.utilization)
+            .add("events_executed", r.events_executed)
+            .add("clamped_events", r.clamped_events)
+            .add("invariant_violations", r.violations.size())
+            .add("guard_events", r.guard_events);
+      },
+      // The injector must apply both rate steps, and the run must see no
+      // invariant violation and no clamped event. Whether and when a run
+      // settles is the experiment's finding (short smoke windows may never
+      // settle), not a health question.
+      .healthy = [](const PointView& v, const scenario::RunResult& r) {
+        if (r.fault_counters.rate_changes != 2) {
+          std::printf("!! %s: expected 2 rate changes, injector applied "
+                      "%llu\n",
+                      aqm_label(v.aqm()),
+                      static_cast<unsigned long long>(
+                          r.fault_counters.rate_changes));
+          return false;
+        }
+        return r.violations.empty() && r.clamped_events == 0;
+      },
+      .record = [headline](const PointView& v, const scenario::RunResult& r) {
+        headline->record(
+            v.aqm(),
+            response_summary(response_window(v.x.duration_s), r)
+                .settle_drop_s);
+      },
+      // The settle headline only when every point was healthy.
+      .footer = [headline](bool healthy) {
+        if (healthy) headline->print();
+      },
+  };
+}
+
+/// The descriptor of `id`, built once per campaign.
+inline TemplateDescriptor template_descriptor(campaign::TemplateId id,
+                                              const TemplateInputs& in) {
+  using campaign::TemplateId;
+  switch (id) {
+    case TemplateId::kDumbbellSweep: return dumbbell_template(in);
+    case TemplateId::kOverload: return overload_template();
+    case TemplateId::kParkingLot: return parking_lot_template();
+    case TemplateId::kRttMix: return rtt_mix_template();
+    case TemplateId::kResilience: return resilience_template(in);
+    case TemplateId::kResponse: return response_template();
+  }
+  return dumbbell_template(in);
+}
 
 }  // namespace pi2::bench

@@ -2,8 +2,10 @@
 // grid figures (Figures 15-18, overload, parking lot, RTT mix, resilience,
 // the section 4.4 capacity-step response).
 // A committed spec file (campaigns/*.json) names a scenario template and
-// its axes, expand() turns it into an ordered grid, and the per-point
-// configs, table rows and JSON records come from campaign_templates.hpp.
+// its axes, expand() turns it into an ordered grid, and the template's one
+// descriptor in campaign_templates.hpp supplies the per-point config, table
+// row, JSON fields, health predicate and cross-point hook; the driver
+// writes every record's framing and every failed point itself.
 // The golden_campaign_* ctests pin each committed spec's --json output.
 //
 // Besides serial runs, the driver does distributed execution:
@@ -58,7 +60,6 @@
 #include "durable/result_codec.hpp"
 #include "durable/shutdown.hpp"
 #include "telemetry/recorder.hpp"
-#include "topology/topology.hpp"
 
 namespace {
 
@@ -340,194 +341,14 @@ telemetry::RecorderConfig point_recorder_config(const CampaignCli& cli,
   return rc;
 }
 
-// ---- per-template dispatch -------------------------------------------------
-//
-// Each template maps a point's axis values onto its config builder, table
-// row, JSON record and health predicate in campaign_templates.hpp. The
-// campaign layer is scenario-free, so this is where strings/numbers become
-// scenario types.
-
-struct TemplateView {
-  const campaign::Expansion& x;
-  // Axis indices resolved once; -1 when the template lacks the axis.
-  int aqm = -1, cc_mix = -1, rate = -1, rtt = -1, ecn = -1, udp = -1,
-      hops = -1, fault = -1, fluid = -1;
-  // fault_schedule axis values resolved once (presets/literals scaled to
-  // the expansion's link/RTT/duration). main() preflights every value, so
-  // lookups from run_point are total.
-  std::map<std::string, faults::FaultSchedule> schedules;
-  /// Step and settle timing of the response template.
-  ResponseWindow response;
-
-  explicit TemplateView(const campaign::Expansion& expansion)
-      : x(expansion), response(response_window(expansion.duration_s)) {
-    aqm = x.axis_of("aqm");
-    cc_mix = x.axis_of("cc_mix");
-    rate = x.axis_of("rate_mbps");
-    rtt = x.axis_of("rtt_ms");
-    ecn = x.axis_of("ecn");
-    udp = x.axis_of("udp_mult");
-    hops = x.axis_of("hops");
-    fault = x.axis_of("fault_schedule");
-    fluid = x.axis_of("fluid_flows");
-    if (fault >= 0) {
-      const faults::PresetContext ctx = resilience_fault_context(
-          x.link_mbps, x.rtt_ms, x.duration_s);
-      for (const auto& value :
-           x.axes[static_cast<std::size_t>(fault)].values) {
-        faults::FaultSchedule schedule;
-        if (faults::resolve_schedule(value.text, ctx, &schedule).empty()) {
-          schedules.emplace(value.text, std::move(schedule));
-        }
-      }
-    }
-  }
-
-  const std::string& text(const campaign::CampaignPoint& p, int axis) const {
-    return p.values[static_cast<std::size_t>(axis)].text;
-  }
-  double num(const campaign::CampaignPoint& p, int axis) const {
-    return p.values[static_cast<std::size_t>(axis)].number;
-  }
-};
-
-void print_table_header(const TemplateView& v) {
-  switch (v.x.template_id) {
-    case campaign::TemplateId::kDumbbellSweep:
-      dumbbell_print_header();
-      break;
-    case campaign::TemplateId::kOverload:
-      std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 UDP "
-                  "sender, mix = 1 Cubic + 1 DCTCP\n",
-                  v.x.link_mbps, v.x.rtt_ms, v.x.duration_s);
-      std::printf(
-          "%-9s %-9s %-7s %-7s %-7s %-9s %-9s %-11s %-11s %-9s %-7s\n", "ecn",
-          "udp_mult", "cubic", "dctcp", "udp", "qdelay", "p99", "L mark/drop",
-          "C mark/drop", "tail L/C", "guards");
-      break;
-    case campaign::TemplateId::kParkingLot:
-      std::printf("# chain of 10 Mb/s links, RTT %.0f ms, %.0f s/run; 1 long "
-                  "Cubic + 1 Cubic cross flow per hop\n",
-                  v.x.rtt_ms, v.x.duration_s);
-      std::printf("%-12s %-5s %-7s %-7s %-7s %-8s %-21s %-21s\n", "aqm",
-                  "hops", "long", "cross", "ratio", "util", "qdelay/hop (ms)",
-                  "signals/hop");
-      break;
-    case campaign::TemplateId::kRttMix:
-      std::printf("# bottleneck %.0f Mb/s; per branch: 1 Cubic + 1 DCTCP at "
-                  "10/50/100 ms base RTT, %.0f s/run\n",
-                  v.x.link_mbps, v.x.duration_s);
-      std::printf("%-12s %-8s %-8s %-8s %-9s %-6s %-8s %-8s\n", "aqm", "b10",
-                  "b50", "b100", "r10/100", "jain", "qdelay", "p99");
-      break;
-    case campaign::TemplateId::kResilience:
-      std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; mix = 1 Cubic "
-                  "+ 1 DCTCP, fluid Reno background; recovery band = 2x AQM "
-                  "target, hold 1 s (-1 = never reconverged)\n",
-                  v.x.link_mbps, v.x.rtt_ms, v.x.duration_s);
-      std::printf("%-12s %-16s %-8s %-8s %-8s %-8s %-8s %-8s %-7s %s\n",
-                  "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
-                  "delta", "qdelay", "util", "viol i/o");
-      break;
-    case campaign::TemplateId::kResponse:
-      std::printf("# step down at %.1f s, step up at %.1f s; settle = qdelay "
-                  "held <= %.0f ms for %.1f s\n",
-                  v.response.down_s, v.response.up_s, v.response.band_ms,
-                  v.response.hold_s);
-      std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
-                  "settle_drop[s]", "settle_rise[s]", "peak[ms]",
-                  "invariants", "guards");
-      break;
-  }
-}
-
-/// Builds and runs point `p` (on a worker thread). `recorder` may be null.
-scenario::RunResult run_point(const TemplateView& v, const Options& opts,
-                              const CampaignCli& cli,
-                              const campaign::CampaignPoint& p,
-                              telemetry::Recorder* recorder) {
-  using campaign::TemplateId;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep: {
-      // Durations come from the shared flags (mix_config), the background
-      // tiers from the driver's; the seed is the campaign's own.
-      auto cfg = mix_config(aqm_from_name(v.text(p, v.aqm)),
-                            mix_from_name(v.text(p, v.cc_mix)),
-                            v.num(p, v.rate), v.num(p, v.rtt), opts,
-                            cli.packet_background, cli.fluid_background);
-      cfg.seed = p.seed;
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kOverload: {
-      auto cfg = overload_config(ecn_from_name(v.text(p, v.ecn)),
-                                 v.num(p, v.udp), v.x.link_mbps, v.x.rtt_ms,
-                                 v.x.duration_s, v.x.stats_start_s, p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kParkingLot: {
-      auto cfg = parking_lot_config(
-          aqm_from_name(v.text(p, v.aqm)), static_cast<int>(v.num(p, v.hops)),
-          v.x.link_mbps, v.x.rtt_ms, v.x.duration_s, v.x.stats_start_s,
-          p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return topology::to_run_result(topology::run_topology(cfg));
-    }
-    case TemplateId::kRttMix: {
-      auto cfg = rtt_mix_config(aqm_from_name(v.text(p, v.aqm)),
-                                v.x.link_mbps, v.x.duration_s,
-                                v.x.stats_start_s, p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return topology::to_run_result(topology::run_topology(cfg));
-    }
-    case TemplateId::kResilience: {
-      auto cfg = resilience_config(
-          aqm_from_name(v.text(p, v.aqm)),
-          v.schedules.at(v.text(p, v.fault)), v.num(p, v.fluid),
-          v.x.link_mbps, v.x.rtt_ms, v.x.duration_s, v.x.stats_start_s,
-          p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kResponse: {
-      auto cfg = response_config(aqm_from_name(v.text(p, v.aqm)),
-                                 v.x.link_mbps, v.x.rtt_ms, v.response,
-                                 v.x.stats_start_s, p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-  }
-  return scenario::RunResult();
-}
-
-/// The per-template output sinks: one atomically published JSON array plus
-/// the cross-point state the closing footer and gates need.
+/// The driver's sinks: one atomically published JSON array and the
+/// campaign's health.
 struct OutputSinks {
   std::unique_ptr<durable::AtomicFile> json;
   bool json_first = true;
   bool healthy = true;
-  /// Dumbbell template: --packet-background/--fluid-background add the
-  /// "background_mbps" field; Figure 18's utilization spread starts at the
-  /// stats window.
-  bool with_background = false;
-  sim::Time stats_start{};
-  DumbbellHeadline headline;
-  // Cross-point recovery comparison (resilience template only); checked
-  // after the consume loop.
-  ResilienceGate resilience_gate;
-  ResponseHeadline response_headline;
 
-  OutputSinks(const Options& opts, const CampaignCli& cli)
-      : with_background(cli.packet_background > 0 ||
-                        cli.fluid_background > 0),
-        stats_start(bench::stats_start(opts)) {
+  explicit OutputSinks(const Options& opts) {
     if (opts.json_path.empty()) return;
     json = std::make_unique<durable::AtomicFile>(opts.json_path);
     if (!json->healthy()) {
@@ -556,198 +377,47 @@ struct OutputSinks {
   }
 };
 
-/// Consumes one completed point: the template's table row, JSON record and
-/// health predicate. Runs on the calling thread in global index order — the
-/// same consume path for live, resumed and merged points.
-void consume_point(const TemplateView& v, OutputSinks& out,
-                   const campaign::CampaignPoint& p,
-                   const scenario::RunResult& result,
+/// Consumes one completed point through its template: table row,
+/// cross-point hook, ok record and health predicate. Runs on the calling
+/// thread in global index order — the same consume path for live, resumed
+/// and merged points.
+void consume_point(const TemplateDescriptor& t, OutputSinks& out,
+                   const PointView& v, const scenario::RunResult& result,
                    const std::string& manifest_path) {
-  using campaign::TemplateId;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep: {
-      const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      const MixKind mix = mix_from_name(v.text(p, v.cc_mix));
-      if (!result.violations.empty()) {
-        std::printf("!! point %zu: %llu invariant violation(s), see JSON\n",
-                    p.index,
-                    static_cast<unsigned long long>(result.violations.size()));
-      }
-      dumbbell_print_row(aqm, mix, v.num(p, v.rate), v.num(p, v.rtt),
-                         out.stats_start, result);
-      out.headline.record(aqm, mix, dumbbell_ratio(result, mix));
-      if (out.json != nullptr) {
-        dumbbell_json_record(*out.json, out.json_first, p.index, aqm, mix,
-                             v.num(p, v.rate), v.num(p, v.rtt), p.seed,
-                             out.with_background, manifest_path, result);
-      }
-      // Violations are reported above but not fatal: Figures 15-18 have no
-      // machinery gate.
-      return;
-    }
-    case TemplateId::kOverload: {
-      const std::string& ecn = v.text(p, v.ecn);
-      overload_print_row(ecn.c_str(), v.num(p, v.udp), result);
-      if (out.json != nullptr) {
-        overload_json_record(*out.json, out.json_first, p.index, ecn.c_str(),
-                             p.seed, v.x.link_mbps, v.x.rtt_ms,
-                             v.num(p, v.udp), result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kParkingLot: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const int hops = static_cast<int>(v.num(p, v.hops));
-      const ParkingSummary summary = parking_summary(result, hops);
-      parking_print_row(aqm.c_str(), hops, summary, result);
-      if (out.json != nullptr) {
-        parking_json_record(*out.json, out.json_first, p.index, aqm.c_str(),
-                            hops, p.seed, v.x.link_mbps, v.x.rtt_ms, summary,
-                            result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      if (!parking_check_headline(hops, summary)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kRttMix: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const RttMixSummary summary = rtt_mix_summary(result);
-      rtt_mix_print_row(aqm.c_str(), summary, result);
-      if (out.json != nullptr) {
-        rtt_mix_json_record(*out.json, out.json_first, p.index, aqm.c_str(),
-                            p.seed, v.x.link_mbps, summary, result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      if (!rtt_mix_check_branches(summary)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kResilience: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const std::string& fault = v.text(p, v.fault);
-      resilience_print_row(aqm.c_str(), fault.c_str(), v.num(p, v.fluid),
-                           result);
-      if (out.json != nullptr) {
-        resilience_json_record(*out.json, out.json_first, p.index,
-                               aqm.c_str(), fault.c_str(), v.num(p, v.fluid),
-                               p.seed, v.x.link_mbps, v.x.rtt_ms, result);
-      }
-      if (!resilience_machinery_healthy(result)) out.healthy = false;
-      out.resilience_gate.record(fault, aqm,
-                                 result.resilience.worst_recovery_s);
-      return;
-    }
-    case TemplateId::kResponse: {
-      const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      const ResponseSummary summary = response_summary(v.response, result);
-      response_print_row(aqm, summary, result);
-      if (out.json != nullptr) {
-        response_json_record(*out.json, out.json_first, p.index, aqm, p.seed,
-                             summary, result);
-      }
-      if (!response_machinery_healthy(aqm, result)) out.healthy = false;
-      out.response_headline.record(aqm, summary.settle_drop_s);
-      return;
-    }
+  t.print_row(v, result);
+  if (t.record) t.record(v, result);
+  if (out.json != nullptr) {
+    RecordFields fields;
+    t.fields(v, result, fields);
+    write_record(*out.json, out.json_first, v.p.index, "ok", fields,
+                 manifest_path);
   }
+  if (!t.healthy(v, result)) out.healthy = false;
 }
 
-void consume_failed(const TemplateView& v, OutputSinks& out,
+/// A failed or timed-out point, the same for every template: the record
+/// holds each axis value as --list prints it, plus the error.
+void consume_failed(const campaign::Expansion& x, OutputSinks& out,
                     const campaign::CampaignPoint& p,
                     runner::TaskStatus status, const std::string& message) {
-  using campaign::TemplateId;
   out.healthy = false;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep:
-      std::printf("!! point %zu (%s, %s, %g Mb/s, %g ms) %s: %s\n", p.index,
-                  aqm_label(aqm_from_name(v.text(p, v.aqm))),
-                  v.text(p, v.cc_mix).c_str(), v.num(p, v.rate),
-                  v.num(p, v.rtt), runner::to_string(status),
-                  message.c_str());
-      if (out.json != nullptr) {
-        dumbbell_json_failed(*out.json, out.json_first, p.index, status,
-                             aqm_from_name(v.text(p, v.aqm)),
-                             mix_from_name(v.text(p, v.cc_mix)),
-                             v.num(p, v.rate), v.num(p, v.rtt), message);
-      }
-      return;
-    case TemplateId::kOverload:
-      std::printf("%-9s %-9.2f point %s\n", v.text(p, v.ecn).c_str(),
-                  v.num(p, v.udp), runner::to_string(status));
-      if (out.json != nullptr) {
-        overload_json_failed(*out.json, out.json_first, p.index, status,
-                             v.text(p, v.ecn).c_str(), v.num(p, v.udp));
-      }
-      return;
-    case TemplateId::kParkingLot:
-      std::printf("%-12s %-5d point %s\n", v.text(p, v.aqm).c_str(),
-                  static_cast<int>(v.num(p, v.hops)),
-                  runner::to_string(status));
-      if (out.json != nullptr) {
-        parking_json_failed(*out.json, out.json_first, p.index, status,
-                            v.text(p, v.aqm).c_str(),
-                            static_cast<int>(v.num(p, v.hops)));
-      }
-      return;
-    case TemplateId::kRttMix:
-      std::printf("%-12s point %s\n", v.text(p, v.aqm).c_str(),
-                  runner::to_string(status));
-      if (out.json != nullptr) {
-        rtt_mix_json_failed(*out.json, out.json_first, p.index, status,
-                            v.text(p, v.aqm).c_str());
-      }
-      return;
-    case TemplateId::kResilience:
-      std::printf("%-12s %-16s point %s\n", v.text(p, v.aqm).c_str(),
-                  v.text(p, v.fault).c_str(), runner::to_string(status));
-      if (out.json != nullptr) {
-        resilience_json_failed(*out.json, out.json_first, p.index, status,
-                               v.text(p, v.aqm).c_str(),
-                               v.text(p, v.fault).c_str(),
-                               v.num(p, v.fluid));
-      }
-      return;
-    case TemplateId::kResponse: {
-      const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      std::printf("%-14s point %s\n", aqm_label(aqm),
-                  runner::to_string(status));
-      if (out.json != nullptr) {
-        response_json_failed(*out.json, out.json_first, p.index, status, aqm);
-      }
-      return;
+  std::string axes;
+  RecordFields fields;
+  for (std::size_t a = 0; a < x.axes.size(); ++a) {
+    const campaign::AxisValue& value = p.values[a];
+    axes += (a == 0 ? "" : " ") + x.axes[a].name + "=" + axis_value_str(value);
+    if (value.is_number) {
+      fields.add(x.axes[a].name, value.number);
+    } else {
+      fields.add(x.axes[a].name, value.text);
     }
   }
-}
-
-/// Closes the table with the figure's expectation footer (for Figures
-/// 15-18 also the grid-wide headline of Figure 15; for the response
-/// template only its settle headline, and only when every point was
-/// healthy).
-void print_footer(const TemplateView& v, const OutputSinks& out) {
-  using campaign::TemplateId;
-  if (v.x.template_id == TemplateId::kResilience) return;
-  if (v.x.template_id == TemplateId::kResponse) {
-    if (out.healthy) out.response_headline.print();
-    return;
-  }
-  std::printf("\n");
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep:
-      out.headline.print();
-      std::fputs(kDumbbellExpectation, stdout);
-      return;
-    case TemplateId::kOverload:
-      std::fputs(kOverloadExpectation, stdout);
-      return;
-    case TemplateId::kParkingLot:
-      std::fputs(kParkingExpectation, stdout);
-      return;
-    case TemplateId::kRttMix:
-      std::fputs(kRttMixExpectation, stdout);
-      return;
-    case TemplateId::kResilience:
-    case TemplateId::kResponse:
-      return;
+  std::printf("!! point %zu (%s) %s: %s\n", p.index, axes.c_str(),
+              runner::to_string(status), message.c_str());
+  if (out.json != nullptr) {
+    fields.add("error", message);
+    write_record(*out.json, out.json_first, p.index,
+                 runner::to_string(status), fields);
   }
 }
 
@@ -784,9 +454,8 @@ int run_list(const campaign::Expansion& x) {
   return 0;
 }
 
-int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
-                 const Options& opts) {
-  const TemplateView v{x};
+int run_campaign(const campaign::Expansion& x, const TemplateDescriptor& t,
+                 const CampaignCli& cli, const Options& opts) {
   const campaign::ShardRange range =
       cli.has_shard
           ? campaign::shard_range(x.points.size(), cli.shard_index,
@@ -863,7 +532,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
     (void)journal.append_shard(shard);
   }
 
-  OutputSinks out{opts, cli};
+  OutputSinks out{opts};
   const runner::ParallelRunner pool{cli.jobs};
   const bool telemetry_on = !cli.telemetry_dir.empty();
   telemetry::MetricsRegistry aggregate_registry;
@@ -897,8 +566,8 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
             outcome.recorder = std::make_shared<telemetry::Recorder>(
                 point_recorder_config(cli, range.lo + j));
           }
-          outcome.result = run_point(v, opts, cli, x.points[range.lo + j],
-                                     outcome.recorder.get());
+          outcome.result = t.run(PointView{x, x.points[range.lo + j]},
+                                 outcome.recorder.get());
           return outcome;
         } catch (const std::exception& ex) {
           const std::lock_guard<std::mutex> lock{error_mutex};
@@ -921,7 +590,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
             const std::lock_guard<std::mutex> lock{error_mutex};
             message = last_error[j].empty() ? "unknown error" : last_error[j];
           }
-          consume_failed(v, out, p, status, message);
+          consume_failed(x, out, p, status, message);
           return;
         }
         // Journal before consume; replayed points re-append their original
@@ -944,7 +613,8 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
                           detail::point_run_id(range.lo + j) +
                           ".manifest.json";
         }
-        consume_point(v, out, p, outcome->result, manifest_path);
+        consume_point(t, out, PointView{x, p}, outcome->result,
+                      manifest_path);
       },
       guard_options(cli, opts.seed));
 
@@ -978,20 +648,17 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
     }
   }
 
-  if (!cli.has_shard) print_footer(v, out);
+  if (!cli.has_shard && t.footer) t.footer(out.healthy);
   std::printf("# points ok: %zu/%zu\n", report.ok_count(),
               report.status.size());
-  // The paper's robustness claim, as a semantic gate: PI2 must reconverge
-  // at least as fast as PIE on every fault preset. A shard sees only a
-  // slice of the grid, so the cross-point comparison is left to --merge.
-  if (x.template_id == campaign::TemplateId::kResilience && !cli.has_shard) {
-    if (!out.resilience_gate.check()) out.healthy = false;
-  }
+  // A shard sees only a slice of the grid, so the cross-point gate is left
+  // to --merge.
+  if (!cli.has_shard && t.gate && !t.gate()) out.healthy = false;
   return report.all_ok() && out.healthy ? 0 : 1;
 }
 
-int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
-              const Options& opts) {
+int run_merge(const campaign::Expansion& x, const TemplateDescriptor& t,
+              const CampaignCli& cli, const Options& opts) {
   campaign::MergeResult merged;
   const durable::Status status =
       campaign::merge_shards(x, cli.merge_paths, merged);
@@ -1039,8 +706,7 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
   // table and --json match a serial run of the same spec. Manifest paths are
   // reconstructed from the point index exactly as --resume does: the shards
   // wrote their telemetry under the same deterministic per-point run ids.
-  const TemplateView v{x};
-  OutputSinks out{opts, cli};
+  OutputSinks out{opts};
   const bool telemetry_on = !cli.telemetry_dir.empty();
   for (std::size_t i = 0; i < x.points.size(); ++i) {
     scenario::RunResult result;
@@ -1058,13 +724,11 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
       manifest_path = cli.telemetry_dir + "/" + detail::point_run_id(i) +
                       ".manifest.json";
     }
-    consume_point(v, out, x.points[i], result, manifest_path);
+    consume_point(t, out, PointView{x, x.points[i]}, result, manifest_path);
   }
   out.commit();
-  print_footer(v, out);
-  if (x.template_id == campaign::TemplateId::kResilience) {
-    if (!out.resilience_gate.check()) out.healthy = false;
-  }
+  if (t.footer) t.footer(out.healthy);
+  if (t.gate && !t.gate()) out.healthy = false;
   std::printf("# merged %zu shard journal(s), %zu point(s) -> %s\n",
               merged.shards, x.points.size(), journal_file.c_str());
   return out.healthy ? 0 : 1;
@@ -1128,20 +792,24 @@ int main(int argc, char** argv) {
 
   // Resolve every fault_schedule value up front: an unknown preset or a
   // malformed literal is a spec authoring error, not a mid-run surprise —
-  // and TemplateView's schedule-map lookups become total.
+  // and the resolved schedules are the ones the points run.
+  TemplateInputs inputs{opts, cli.packet_background, cli.fluid_background,
+                        {}};
   for (std::size_t a = 0; a < x.axes.size(); ++a) {
     if (x.axes[a].name != "fault_schedule") continue;
     const faults::PresetContext ctx =
         resilience_fault_context(x.link_mbps, x.rtt_ms, x.duration_s);
     for (std::size_t j = 0; j < x.axes[a].values.size(); ++j) {
       faults::FaultSchedule schedule;
-      const std::string fault_err = faults::resolve_schedule(
-          x.axes[a].values[j].text, ctx, &schedule);
+      const std::string& value = x.axes[a].values[j].text;
+      const std::string fault_err =
+          faults::resolve_schedule(value, ctx, &schedule);
       if (!fault_err.empty()) {
         std::fprintf(stderr, "pi2_campaign: axes[%zu].values[%zu]: %s\n", a, j,
                      fault_err.c_str());
         return kUsageExit;
       }
+      inputs.schedules.emplace(value, std::move(schedule));
     }
   }
 
@@ -1150,7 +818,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cli.list) return run_list(x);
-  if (cli.merge) return run_merge(x, cli, opts);
+  const TemplateDescriptor t = template_descriptor(x.template_id, inputs);
+  if (cli.merge) return run_merge(x, t, cli, opts);
 
   print_header(("Campaign " + x.name).c_str(),
                campaign::to_string(x.template_id), opts);
@@ -1161,7 +830,6 @@ int main(int argc, char** argv) {
                 cli.shard_index, cli.shard_count, range.lo, range.hi,
                 x.points.size());
   }
-  const TemplateView view{x};
-  print_table_header(view);
-  return run_campaign(x, cli, opts);
+  t.print_header(x);
+  return run_campaign(x, t, cli, opts);
 }

@@ -46,8 +46,8 @@
 
 namespace pi2::campaign {
 
-/// Scenario families a spec can instantiate; each maps to one per-point
-/// config builder in bench/campaign_templates.hpp.
+/// Scenario families a spec can instantiate; each maps to one
+/// TemplateDescriptor in bench/campaign_templates.hpp.
 enum class TemplateId {
   kDumbbellSweep,
   kOverload,

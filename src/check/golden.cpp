@@ -1,140 +1,42 @@
 #include "check/golden.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "campaign/json.hpp"
+
 namespace pi2::check {
 
 namespace {
 
-/// Cursor over a JSON text; the grammar here is only what the bench --json
-/// records and JsonlExporter emit (flat objects, string/number values, no nesting).
-struct Cursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] bool at(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool eat(char c) {
-    if (!at(c)) return false;
-    ++pos;
-    return true;
-  }
-};
-
-bool parse_string(Cursor& cur, std::string* out, std::string* error) {
-  if (!cur.eat('"')) {
-    *error = "expected '\"' at offset " + std::to_string(cur.pos);
-    return false;
-  }
-  out->clear();
-  while (cur.pos < cur.text.size()) {
-    const char c = cur.text[cur.pos++];
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (cur.pos >= cur.text.size()) break;
-      const char esc = cur.text[cur.pos++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'u':
-          // The writers only escape control characters; decode the low byte.
-          if (cur.pos + 4 <= cur.text.size()) {
-            unsigned value = 0;
-            std::from_chars(cur.text.data() + cur.pos,
-                            cur.text.data() + cur.pos + 4, value, 16);
-            *out += static_cast<char>(value);
-            cur.pos += 4;
-          }
-          break;
-        default: *out += esc; break;
-      }
-    } else {
-      *out += c;
-    }
-  }
-  *error = "unterminated string";
-  return false;
-}
-
-bool parse_number(Cursor& cur, double* out, std::string* error) {
-  cur.skip_ws();
-  const std::size_t start = cur.pos;
-  while (cur.pos < cur.text.size()) {
-    const char c = cur.text[cur.pos];
-    if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-        c == 'e' || c == 'E' || c == 'n' || c == 'a' || c == 'i' || c == 'f') {
-      ++cur.pos;  // accepts nan/inf spellings so a poisoned metric parses
-    } else {
-      break;
-    }
-  }
-  if (cur.pos == start) {
-    *error = "expected number at offset " + std::to_string(start);
-    return false;
-  }
-  char* end = nullptr;
-  const std::string token = cur.text.substr(start, cur.pos - start);
-  *out = std::strtod(token.c_str(), &end);
-  if (end == token.c_str()) {
-    *error = "bad number '" + token + "'";
-    return false;
-  }
-  return true;
-}
-
-bool parse_object(Cursor& cur, JsonRecord* out, std::string* error) {
-  if (!cur.eat('{')) {
-    *error = "expected '{' at offset " + std::to_string(cur.pos);
+/// Fills `out` from one parsed record: strings stay strings, numbers and
+/// bools (as 1/0) become numbers; a nested or null value is an error.
+bool flat_record(const campaign::JsonValue& value, JsonRecord* out,
+                 std::string* error) {
+  using Type = campaign::JsonValue::Type;
+  if (value.type != Type::kObject) {
+    *error = "expected a flat object";
     return false;
   }
   out->numbers.clear();
   out->strings.clear();
-  if (cur.eat('}')) return true;
-  while (true) {
-    std::string key;
-    if (!parse_string(cur, &key, error)) return false;
-    if (!cur.eat(':')) {
-      *error = "expected ':' after key '" + key + "'";
-      return false;
-    }
-    cur.skip_ws();
-    if (cur.at('"')) {
-      std::string value;
-      if (!parse_string(cur, &value, error)) return false;
-      out->strings[key] = value;
-    } else if (cur.at('{') || cur.at('[')) {
-      *error = "nested value under key '" + key + "' (flat objects only)";
-      return false;
-    } else if (cur.at('t') || cur.at('f')) {  // true / false
-      const bool value = cur.text[cur.pos] == 't';
-      cur.pos += value ? 4 : 5;
-      out->numbers[key] = value ? 1.0 : 0.0;
+  for (const auto& [key, field] : value.fields) {
+    if (field.type == Type::kString) {
+      out->strings[key] = field.text;
+    } else if (field.type == Type::kNumber) {
+      out->numbers[key] = field.number;
+    } else if (field.type == Type::kBool) {
+      out->numbers[key] = field.boolean ? 1.0 : 0.0;
     } else {
-      double value = 0;
-      if (!parse_number(cur, &value, error)) return false;
-      out->numbers[key] = value;
+      *error = "value under key '" + key +
+               "' is not a string, number or bool (flat objects only)";
+      return false;
     }
-    if (cur.eat(',')) continue;
-    if (cur.eat('}')) return true;
-    *error = "expected ',' or '}' at offset " + std::to_string(cur.pos);
-    return false;
   }
+  return true;
 }
 
 std::string record_label(const std::vector<JsonRecord>& records, std::size_t i) {
@@ -154,8 +56,9 @@ std::string record_label(const std::vector<JsonRecord>& records, std::size_t i) 
 
 bool parse_flat_object(const std::string& text, JsonRecord* out,
                        std::string* error) {
-  Cursor cur{text};
-  return parse_object(cur, out, error);
+  campaign::JsonValue value;
+  *error = campaign::parse_json(text, value);
+  return error->empty() && flat_record(value, out, error);
 }
 
 std::vector<JsonRecord> parse_records(const std::string& path, std::string* error) {
@@ -166,28 +69,25 @@ std::vector<JsonRecord> parse_records(const std::string& path, std::string* erro
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
 
-  std::vector<JsonRecord> records;
-  Cursor cur{text};
-  if (!cur.eat('[')) {
+  campaign::JsonValue doc;
+  *error = campaign::parse_json(buf.str(), doc);
+  if (!error->empty()) {
+    *error = path + ": " + *error;
+    return {};
+  }
+  if (doc.type != campaign::JsonValue::Type::kArray) {
     *error = path + ": expected a JSON array";
     return {};
   }
-  if (cur.eat(']')) return records;
-  while (true) {
-    JsonRecord record;
-    if (!parse_object(cur, &record, error)) {
-      *error = path + ": " + *error;
+  std::vector<JsonRecord> records(doc.items.size());
+  for (std::size_t i = 0; i < doc.items.size(); ++i) {
+    if (!flat_record(doc.items[i], &records[i], error)) {
+      *error = path + ": record " + std::to_string(i) + ": " + *error;
       return {};
     }
-    records.push_back(std::move(record));
-    if (cur.eat(',')) continue;
-    if (cur.eat(']')) return records;
-    *error = path + ": expected ',' or ']' after record " +
-             std::to_string(records.size() - 1);
-    return {};
   }
+  return records;
 }
 
 GoldenOptions default_golden_options() {
@@ -271,10 +171,6 @@ std::vector<std::string> compare_golden(const std::string& baseline_path,
         continue;
       }
       const double got = it->second;
-      if (!std::isfinite(got)) {
-        mismatches.push_back(label + ": \"" + key + "\" is non-finite");
-        continue;
-      }
       bool exact = false;
       for (const auto& field : options.exact_fields) exact = exact || field == key;
       double rel_tol = options.default_rel_tol;

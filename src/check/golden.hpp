@@ -1,9 +1,9 @@
 // Golden-figure regression comparison.
 //
-// The grid drivers emit one flat JSON record per grid point (--json, the
-// bench/campaign_templates.hpp record formats). A golden baseline is such a file committed under
-// tests/golden/; the comparator re-parses baseline and candidate and checks
-// them record by record:
+// pi2_campaign --json emits one flat JSON record per grid point (each
+// template's field list in bench/campaign_templates.hpp). A golden baseline
+// is such a file committed under tests/golden/; the comparator re-parses
+// baseline and candidate and checks them record by record:
 //
 //   * string fields (aqm, mix, status, ...) and structural fields (index)
 //     must match exactly;
@@ -12,9 +12,10 @@
 //     guard survives benign cross-toolchain floating-point drift while still
 //     pinning every headline metric of figs 15-18 and fig_response.
 //
-// The parser handles exactly the subset the writers emit — an array of flat
-// objects with string / number values — and is reused by the telemetry
-// JSONL parse-back oracle (one flat object per line).
+// Records are read through the campaign JSON reader (campaign/json.hpp) and
+// must be flat objects with string / number / bool values; a non-finite
+// number is a parse error. The telemetry JSONL parse-back oracle reads its
+// rows (one flat object per line) the same way.
 #pragma once
 
 #include <map>
@@ -30,7 +31,7 @@ struct JsonRecord {
 };
 
 /// Parses a single flat JSON object. Returns false (and fills *error) on
-/// malformed input; nested objects/arrays are rejected.
+/// malformed input; nested objects/arrays and null are rejected.
 bool parse_flat_object(const std::string& text, JsonRecord* out,
                        std::string* error);
 

@@ -112,9 +112,9 @@ void BottleneckLink::accept(Packet packet) {
   ++band_counters_[band].enqueued;
   packet_backlog_bytes_ += packet.size;
   band_backlog_bytes_[band] += packet.size;
-  audit_backlog();
   probes_.emit_enqueue(packet);
   bands_[band].push_back(packet);
+  audit_backlog();  // the recount must see the packet in its band
   try_start_transmission();
 }
 
