@@ -3,6 +3,9 @@
 // serializations, RTO timers, PI update ticks), so per-event overhead is
 // the floor under every figure's wall clock.
 //
+// `BM_ScheduleRunUntil` drives Simulator::run_until, the loop production
+// code runs; the other cases call Scheduler::empty()/run_next() directly.
+//
 // `Legacy*` benchmarks replicate the seed implementation — std::function
 // callbacks plus a shared_ptr<bool> cancellation flag per event on a
 // std::priority_queue — as the baseline the slab/UniqueFunction scheduler
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -179,6 +183,61 @@ void BM_PeriodicTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PeriodicTick)->Arg(1 << 12);
+
+/// One self-rescheduling head, as a DelayPipe's FIFO head: each step
+/// schedules the next under a reserved key and re-arms an RTO-like timer
+/// through defer(), as TcpSender does per ACK. The timer's deadline stays
+/// ahead of the chain, so its stale heap entry keeps surfacing and being
+/// re-keyed; it fires only once the shared step budget runs out.
+class HeadChain {
+ public:
+  HeadChain(pi2::sim::Simulator& sim, pi2::sim::Duration spacing, std::int64_t& budget)
+      : sim_(sim), spacing_(spacing), budget_(budget) {}
+
+  void step() {
+    if (budget_-- <= 0) return;
+    sim_.at(sim_.reserve(spacing_), [this] { step(); });
+    if (!sim_.defer(timer_, kTimeout)) {
+      timer_ = sim_.after(kTimeout, [this] { ++timeouts_; });
+    }
+  }
+
+  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
+
+ private:
+  static constexpr pi2::sim::Duration kTimeout{200'000};
+
+  pi2::sim::Simulator& sim_;
+  pi2::sim::Duration spacing_;
+  std::int64_t& budget_;
+  pi2::sim::EventHandle timer_;
+  std::uint64_t timeouts_ = 0;
+};
+
+/// Simulator::run_until over 16 head chains (a live heap of about 32
+/// entries, near the packet workloads' 26) until `n` chain steps have run.
+void BM_ScheduleRunUntil(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  constexpr int kChains = 16;
+  std::uint64_t events = 0;
+  std::uint64_t timeouts = 0;
+  for (auto _ : state) {
+    pi2::sim::Simulator sim;
+    std::int64_t budget = n;
+    std::vector<std::unique_ptr<HeadChain>> chains;
+    for (int i = 0; i < kChains; ++i) {
+      chains.push_back(std::make_unique<HeadChain>(
+          sim, pi2::sim::Duration{1000 + 37 * i}, budget));
+      chains.back()->step();
+    }
+    sim.run_until(pi2::sim::from_seconds(1.0));
+    events += sim.events_executed();
+    for (const auto& chain : chains) timeouts += chain->timeouts();
+  }
+  benchmark::DoNotOptimize(timeouts);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_ScheduleRunUntil)->Arg(1 << 14);
 
 }  // namespace
 

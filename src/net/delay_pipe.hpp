@@ -45,8 +45,9 @@ class DelayPipe {
       });
       return;
     }
+    const bool was_empty = line_.empty();
     line_.push_back(InFlight{key, std::move(packet)});
-    if (line_.size() == 1) schedule_head();
+    if (was_empty) schedule_head();
   }
 
   /// Packets waiting in the FIFO (not counting out-of-order ones).

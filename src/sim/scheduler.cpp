@@ -1,8 +1,6 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <utility>
 
 namespace pi2::sim {
 
@@ -19,15 +17,9 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->pending(slot_, generation_);
 }
 
-EventHandle Scheduler::schedule(EventKey key, UniqueFunction fn) {
-  const std::uint32_t slot = allocate_slot();
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.at = key.at;
-  s.seq = key.seq;
-  heap_.push_back(Entry{key.at, key.seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle{this, slot, s.generation};
+void Scheduler::add_slot() {
+  free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+  slots_.emplace_back();
 }
 
 bool Scheduler::defer(const EventHandle& handle, Time at) {
@@ -43,27 +35,6 @@ bool Scheduler::defer(const EventHandle& handle, Time at) {
   s.at = at;
   s.seq = next_seq_++;
   return true;
-}
-
-std::uint32_t Scheduler::allocate_slot() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].live = true;
-  return slot;
-}
-
-void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn = UniqueFunction{};
-  s.live = false;
-  ++s.generation;
-  free_slots_.push_back(slot);
 }
 
 void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
@@ -84,13 +55,11 @@ bool Scheduler::pending(std::uint32_t slot, std::uint32_t generation) const {
          slots_[slot].live;
 }
 
-void Scheduler::skim() {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.live && s.seq == top.seq) return;
+void Scheduler::skim_slow() {
+  while (!heap_.empty() && !top_clean()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Entry& entry = heap_.back();
+    const Slot& s = slots_[entry.slot];
     if (s.live) {
       // Deferred: the true key is later than the stale one, so re-inserting
       // it under the true key is exact.
@@ -120,32 +89,6 @@ void Scheduler::maybe_compact() {
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   dead_ = 0;
   ++compactions_;
-}
-
-bool Scheduler::empty() const {
-  const_cast<Scheduler*>(this)->skim();
-  return heap_.empty();
-}
-
-Time Scheduler::next_time() const {
-  const_cast<Scheduler*>(this)->skim();
-  return heap_.empty() ? kTimeInfinity : heap_.front().at;
-}
-
-Time Scheduler::run_next() {
-  skim();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  // Move the callback out before running it: it may schedule new events,
-  // which mutates both the heap and the slab. The slot is released first so
-  // that pending() is false and the slot is reusable inside the callback.
-  UniqueFunction fn = std::move(slots_[entry.slot].fn);
-  release_slot(entry.slot);
-  ++executed_;
-  fn();
-  return entry.at;
 }
 
 }  // namespace pi2::sim

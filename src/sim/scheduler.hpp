@@ -13,12 +13,24 @@
 // surfaces, skim() re-inserts it under the true key before anything fires,
 // so the firing order is exactly that of cancel + schedule_at.
 //
+// The run loop inspects the heap once per event: peek() skims the top (one
+// inline "is the top live and current" test; the slow path that drops dead
+// entries and re-keys deferred ones is out of line) and returns its time,
+// and fire_top() pops that clean entry and runs it. schedule() and the slot
+// bookkeeping are inline too, so the per-event path compiles into its
+// callers; the slab's growth path stays out of line, which keeps that
+// inlined code small.
+//
 // Callbacks are stored in a move-only small-buffer UniqueFunction instead of
 // std::function, and handles are (slot index, generation) pairs instead of
 // shared_ptr<bool>, which removes two heap allocations and the refcount
-// traffic from the per-event hot path.
+// traffic from the per-event hot path. Callbacks travel by rvalue reference
+// from the caller's temporary into their slot, so each one is relocated
+// twice: into the slot on schedule, out of it on fire.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -65,14 +77,23 @@ class Scheduler {
  public:
   /// Schedules `fn` to run at absolute time `at`. `at` must not be before
   /// the current time of the owning simulator (checked by Simulator).
-  EventHandle schedule_at(Time at, UniqueFunction fn) {
+  EventHandle schedule_at(Time at, UniqueFunction&& fn) {
     return schedule(EventKey{at, next_seq_++}, std::move(fn));
   }
 
   /// Schedules `fn` under a key whose sequence number came from
   /// reserve_seq(): the event fires exactly where an event scheduled at
   /// reservation time would have.
-  EventHandle schedule(EventKey key, UniqueFunction fn);
+  EventHandle schedule(EventKey key, UniqueFunction&& fn) {
+    const std::uint32_t slot = allocate_slot();
+    Slot& s = slots_[slot];
+    s.fn = std::move(fn);
+    s.at = key.at;
+    s.seq = key.seq;
+    heap_.push_back(Entry{key.at, key.seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return EventHandle{this, slot, s.generation};
+  }
 
   /// Hands out the next sequence number without scheduling anything.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
@@ -85,14 +106,49 @@ class Scheduler {
   bool defer(const EventHandle& handle, Time at);
 
   /// True if no live events remain.
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const { return live_size() == 0; }
+
+  /// Skims the heap top and points at the time of the earliest live event,
+  /// or returns nullptr if none remains. An event may be due at
+  /// kTimeInfinity, so that time does not mean "empty" here. The pointer is
+  /// valid until the scheduler is next used.
+  [[nodiscard]] const Time* peek() {
+    skim();
+    return heap_.empty() ? nullptr : &heap_.front().at;
+  }
 
   /// Time of the earliest live event; kTimeInfinity if none.
-  [[nodiscard]] Time next_time() const;
+  [[nodiscard]] Time next_time() {
+    const Time* at = peek();
+    return at != nullptr ? *at : kTimeInfinity;
+  }
+
+  /// Pops and runs the event whose time peek() just returned. Precondition:
+  /// peek() returned a time and nothing touched the scheduler since.
+  void fire_top() {
+    assert(!heap_.empty() && top_clean());
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const std::uint32_t slot = heap_.back().slot;
+    heap_.pop_back();
+    // Move the callback out before running it: it may schedule new events,
+    // which mutates both the heap and the slab. The slot is released first
+    // so that pending() is false and the slot is reusable inside the
+    // callback.
+    UniqueFunction fn = std::move(slots_[slot].fn);
+    release_slot(slot);
+    ++executed_;
+    fn();
+  }
 
   /// Pops and runs the earliest live event; returns its time.
   /// Precondition: !empty().
-  Time run_next();
+  Time run_next() {
+    const Time* at = peek();
+    assert(at != nullptr);
+    const Time fired = *at;
+    fire_top();
+    return fired;
+  }
 
   /// Number of events executed so far.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -144,13 +200,43 @@ class Scheduler {
   void cancel(std::uint32_t slot, std::uint32_t generation);
   [[nodiscard]] bool pending(std::uint32_t slot, std::uint32_t generation) const;
 
-  std::uint32_t allocate_slot();
-  /// Recycles a slot whose heap entry has been removed (fired or skimmed).
-  void release_slot(std::uint32_t slot);
+  std::uint32_t allocate_slot() {
+    if (free_slots_.empty()) add_slot();
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot].live = true;
+    return slot;
+  }
+  /// Appends a fresh slot to the slab and lists it as free: the slab's
+  /// rare growth path, out of line.
+  void add_slot();
 
+  /// Recycles a slot whose heap entry has been removed (fired or skimmed).
+  /// Its callback is already gone: moved out on fire, destroyed on cancel.
+  void release_slot(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    assert(!s.fn);
+    s.live = false;
+    ++s.generation;
+    free_slots_.push_back(slot);
+  }
+
+  /// True when the (non-empty) heap's top entry is live and carries its
+  /// slot's true key, i.e. when it may fire as it stands.
+  [[nodiscard]] bool top_clean() const {
+    const Entry& top = heap_.front();
+    const Slot& s = slots_[top.slot];
+    return s.live && s.seq == top.seq;
+  }
+
+  /// Leaves the top entry clean (or the heap empty): the inline fast check,
+  /// with the slow path out of line.
+  void skim() {
+    if (!heap_.empty() && !top_clean()) skim_slow();
+  }
   /// Drops cancelled entries from the top of the heap and re-keys a
-  /// deferred one, so the top entry is live and carries its true key.
-  void skim();
+  /// deferred one, until the top entry is live and carries its true key.
+  void skim_slow();
   /// Rebuilds the heap without its dead entries once they are the majority.
   void maybe_compact();
 

@@ -14,20 +14,21 @@ void Simulator::run_until(Time until) {
   stopped_ = false;
   // The clock must advance *before* the event executes, so that callbacks
   // observe now() == their scheduled time.
-  while (!scheduler_.empty() && scheduler_.next_time() <= until) {
+  while (const Time* next = scheduler_.peek()) {
+    if (*next > until) break;
     if (should_stop()) return;
-    now_ = scheduler_.next_time();
-    scheduler_.run_next();
+    now_ = *next;
+    scheduler_.fire_top();
   }
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!scheduler_.empty()) {
+  while (const Time* next = scheduler_.peek()) {
     if (should_stop()) return;
-    now_ = scheduler_.next_time();
-    scheduler_.run_next();
+    now_ = *next;
+    scheduler_.fire_top();
   }
 }
 

@@ -30,7 +30,7 @@ class Simulator {
   /// Schedules `fn` at absolute time `at`. Scheduling in the past is almost
   /// always a component bug; the time is clamped to now and counted in
   /// clamped_events() so harnesses can assert it never happens.
-  EventHandle at(Time when, UniqueFunction fn) {
+  EventHandle at(Time when, UniqueFunction&& fn) {
     return scheduler_.schedule_at(clamp(when), std::move(fn));
   }
 
@@ -38,7 +38,7 @@ class Simulator {
   /// past and is clamped to now by `at()`, which also counts it in
   /// clamped_events() — negative delays are component bugs exactly like
   /// absolute times in the past, and harnesses assert the counter stays 0.
-  EventHandle after(Duration delay, UniqueFunction fn) {
+  EventHandle after(Duration delay, UniqueFunction&& fn) {
     return at(now_ + delay, std::move(fn));
   }
 
@@ -51,7 +51,7 @@ class Simulator {
 
   /// Schedules `fn` under a key from `reserve()`. The key's time must not
   /// be in the past (clamped and counted like `at(Time, ...)`).
-  EventHandle at(EventKey key, UniqueFunction fn) {
+  EventHandle at(EventKey key, UniqueFunction&& fn) {
     key.at = clamp(key.at);
     return scheduler_.schedule(key, std::move(fn));
   }
@@ -65,8 +65,10 @@ class Simulator {
     return scheduler_.defer(timer, clamp(now_ + delay));
   }
 
-  /// Runs events until the event queue is empty or `until` is reached.
-  /// The clock ends at exactly `until` if the queue outlives it.
+  /// Runs events until the event queue is empty or `until` is reached; an
+  /// event at exactly `until` fires. The clock ends at exactly `until` if
+  /// the queue outlives it. Each event costs one Scheduler::peek() and one
+  /// Scheduler::fire_top().
   void run_until(Time until);
 
   /// Runs until the event queue is exhausted.

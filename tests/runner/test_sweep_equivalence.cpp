@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -45,11 +46,13 @@ struct GridRun {
 };
 
 /// A scratch directory of its own for the current test; ctest runs the
-/// cases of this suite as concurrent processes.
+/// cases of this suite as concurrent processes. The process id keeps two
+/// ctest runs from different build trees out of each other's directories.
 fs::path work_dir() {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const fs::path dir = fs::path{::testing::TempDir()} /
-                       (std::string{"pi2_sweep_eq_"} + info->name());
+                       (std::string{"pi2_sweep_eq_"} + info->name() + "_" +
+                        std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
